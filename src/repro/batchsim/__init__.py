@@ -1,49 +1,35 @@
-"""Batched struct-of-arrays simulation of sweep points.
+"""Trace-column simulation: the one dynamic-execution path.
 
-``repro.batchsim`` simulates *B* sweep points that share a program trace
-in one pass: the trace is decoded once into struct-of-arrays form
+``repro.batchsim`` computes every profile and simulation from a value
+trace: the trace is decoded once into struct-of-arrays form
 (:mod:`.arrays`), per-static-op predictor outcome columns are computed
-once and shared by every point that predicts that op (:mod:`.outcomes`),
-and each point's dynamic accounting collapses to a vectorised
-pattern-bitmask histogram folded through the exact per-pattern block
-timings (:mod:`.engine`).  Results are byte-identical to the scalar
-engine — both paths share one deterministic accounting fold.
+once and shared by every sweep point that predicts that op
+(:mod:`.outcomes`), and each point's dynamic accounting collapses to a
+vectorised pattern-bitmask histogram folded through the exact
+per-pattern block timings (:mod:`.engine`).  Finite prediction tables
+and confidence gating are column operations on those outcome columns;
+icache modelling is one in-order pass over the block sequence
+(:func:`repro.core.program_sim.simulate_program`).
 
 :mod:`.surrogate` layers a fast analytical cycles estimate on top, used
 by ``repro-explore --surrogate`` to rank and prune candidate points
 before exact simulation.
 
-This package imports lazily: ``repro.core`` modules import
-:mod:`repro.batchsim._compat` at startup, so eagerly importing the
-engine here would create a cycle.
+This package imports lazily, so that importing the CLIs does not load
+NumPy.
 """
 
 from __future__ import annotations
 
-from repro.batchsim._compat import (
-    NO_BATCH_ENV,
-    batch_enabled,
-    numpy_error,
-    require_numpy,
-    scalar_forced,
-    sharing_enabled,
-)
-
 __all__ = [
-    "NO_BATCH_ENV",
     "BatchContext",
-    "batch_enabled",
     "default_context",
-    "numpy_error",
-    "require_numpy",
     "reset_shared_state",
-    "scalar_forced",
-    "sharing_enabled",
 ]
 
 
 def __getattr__(name):
-    if name in ("BatchContext", "default_context", "reset_shared_state"):
+    if name in __all__:
         from repro.batchsim import context
 
         return getattr(context, name)

@@ -19,16 +19,18 @@ index — the layout every sweep point of the batch shares:
   traced-op id tuple, so op *p* of label *L* reads its occurrence
   values as ``stream[starts[instances[L]] + pos(p)]``.
 
-Validation mirrors :func:`repro.trace.replay._replay_plan` plus the
-end-of-replay cursor check, so a trace the scalar replayer would reject
-is rejected here with the same exception types.
+Validation runs :func:`repro.trace.replay._replay_plan` (digest, labels,
+block signatures) and checks that the block sequence consumes exactly
+the recorded values; a mismatched trace raises
+:class:`~repro.trace.format.TraceMismatch`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from repro.batchsim._compat import require_numpy
+import numpy as np
+
 from repro.ir.program import Program
 from repro.trace.format import TraceMismatch, ValueTrace
 from repro.trace.replay import _replay_plan
@@ -38,7 +40,6 @@ class TraceArrays:
     """One trace decoded to struct-of-arrays form (see module docstring)."""
 
     def __init__(self, trace: ValueTrace, program: Program):
-        np = require_numpy()
         plan = _replay_plan(trace, program)  # validates digest/labels/sigs
         self.trace = trace
         self.program = program
@@ -71,9 +72,11 @@ class TraceArrays:
             self.starts = np.zeros(0, dtype=np.int64)
             total = 0
         if total != len(trace.values):
+            short = "ran out of values: it " if total > len(trace.values) else ""
             raise TraceMismatch(
-                f"trace of {trace.program_name!r} carries {len(trace.values)} "
-                f"values but its block sequence implies {total}"
+                f"trace of {trace.program_name!r} {short}carries "
+                f"{len(trace.values)} values but its block sequence "
+                f"implies {total}"
             )
         self.stream = np.empty(len(trace.values), dtype=object)
         if trace.values:
@@ -95,11 +98,15 @@ class TraceArrays:
         idx = self.label_index.get(label)
         return 0 if idx is None else int(self._instances[idx].size)
 
-    def op_values(self, label: str, op_id: int):
-        """Object ndarray of ``op_id``'s values, one per occurrence.
+    def instances(self, label: str):
+        """Indices into ``block_seq`` of ``label``'s dynamic instances."""
+        return self._instances[self.label_index[label]]
 
-        Occurrences are ordered by dynamic instance of ``label`` — the
-        order the scalar observer sees them in.
+    def positions(self, label: str, op_id: int):
+        """Stream positions of ``op_id``'s values, one per occurrence.
+
+        Positions order every traced value of the run, so they also
+        order occurrences of different ops in execution order.
         """
         idx = self.label_index[label]
         pos = self._pos[idx].get(op_id)
@@ -107,4 +114,9 @@ class TraceArrays:
             raise TraceMismatch(
                 f"operation {op_id} of block {label!r} is not traced"
             )
-        return self.stream[self.starts[self._instances[idx]] + pos]
+        return self.starts[self._instances[idx]] + pos
+
+    def op_values(self, label: str, op_id: int):
+        """Object ndarray of ``op_id``'s values, one per occurrence,
+        ordered by dynamic instance of ``label``."""
+        return self.stream[self.positions(label, op_id)]

@@ -21,7 +21,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional, Tuple
 
-from repro.batchsim._compat import require_numpy
+import numpy as np
+
 from repro.batchsim.arrays import TraceArrays
 from repro.batchsim.outcomes import (
     OutcomeColumn,
@@ -57,6 +58,27 @@ class _LRU:
 
     def clear(self):
         self.data.clear()
+
+
+def pattern_code(correct_columns, n: int):
+    """Per instance, the bitmask of its correct predictions (bit *j* =
+    column *j*)."""
+    code = np.zeros(n, dtype=np.int64)
+    for j, correct in enumerate(correct_columns):
+        code |= correct.astype(np.int64) << j
+    return code
+
+
+def pattern_histogram(code, k: int) -> Dict[Tuple[bool, ...], int]:
+    """Correctness-pattern counts of ``code`` over ``k`` predictions."""
+    if k > 20:  # 2^k pattern space; the compiler caps far below this
+        raise ValueError(f"{k} predictions in one block exceed batch limit")
+    binc = np.bincount(code, minlength=1 << k)
+    return {
+        tuple(bool((mask >> j) & 1) for j in range(k)): int(binc[mask])
+        for mask in range(1 << k)
+        if binc[mask]
+    }
 
 
 class BatchContext:
@@ -117,29 +139,19 @@ class BatchContext:
         """Histogram of correctness patterns over the label's instances.
 
         ``op_ids`` are the predicted original op ids in LdPred order —
-        pattern position *j* is op ``op_ids[j]``, matching the scalar
-        observer's ``predicted_load_ids`` convention.
+        pattern position *j* is op ``op_ids[j]``, matching the
+        compilation's ``predicted_load_ids`` convention.
         """
-        np = require_numpy()
         pkey = predictor_key(machine)
         key = (id(arrays), pkey, label, op_ids)
         entry = self._histograms.get(key)
         if entry is not None and entry[0] is arrays:
             return entry[1]
         columns = [self.column(arrays, machine, label, op_id) for op_id in op_ids]
-        k = len(columns)
-        if k > 20:  # 2^k pattern space; the compiler caps far below this
-            raise ValueError(f"{k} predictions in one block exceed batch limit")
-        n = arrays.instance_count(label)
-        code = np.zeros(n, dtype=np.int64)
-        for j, column in enumerate(columns):
-            code |= column.correct.astype(np.int64) << j
-        binc = np.bincount(code, minlength=1 << k)
-        counts = {
-            tuple(bool((mask >> j) & 1) for j in range(k)): int(binc[mask])
-            for mask in range(1 << k)
-            if binc[mask]
-        }
+        code = pattern_code(
+            [column.correct for column in columns], arrays.instance_count(label)
+        )
+        counts = pattern_histogram(code, len(op_ids))
         self._histograms.put(key, (arrays, counts))
         return counts
 
@@ -194,10 +206,8 @@ def reset_shared_state() -> None:
     only); the test suite calls it between tests for isolation.
     """
     reset_default_context()
-    from repro.batchsim import _compat
     from repro.core import compile_cache
 
-    _compat.refresh()
     compile_cache.reset()
     # The evaluation layer's shared build/profile products (imported
     # lazily: evaluation sits above this package in the import graph,

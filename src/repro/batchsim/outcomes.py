@@ -1,7 +1,7 @@
 """Per-static-op predictor outcome columns.
 
-The scalar simulation observer trains the hardware predictor only on the
-ops a compilation predicts, and every shipped predictor (stride, FCM,
+The simulated hardware predictor trains only on the ops a compilation
+predicts, and every shipped predictor (stride, FCM,
 DFCM, last-value, hybrid and its confidence scores) keeps strictly
 per-static-op state.  Consequence — the batching theorem this package
 rests on: the per-occurrence outcome column of a static op depends only
@@ -11,7 +11,7 @@ one column, computed once, is exact for every point in the batch.
 
 Columns are computed by feeding the op's (trace-extracted) value
 sequence through a **real** scalar predictor instance — predict, score,
-update, exactly the observer's order — not a NumPy re-implementation,
+update, in hardware order — not a NumPy re-implementation,
 so there is no numeric-semantics drift to audit.  NumPy enters only
 downstream, where columns are packed into per-point pattern bitmasks.
 """
@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 from typing import Callable
 
-from repro.batchsim._compat import require_numpy
+import numpy as np
+
 from repro.predict.base import ValuePredictor, _values_equal
 
 
@@ -64,13 +65,13 @@ def build_predictor(machine) -> ValuePredictor:
 def compute_column(
     op_id: int, values, build: Callable[[], ValuePredictor]
 ) -> OutcomeColumn:
-    """Run a fresh scalar predictor over the op's value sequence.
+    """Run a predictor from ``build`` over the op's value sequence.
 
-    A fresh instance per column is equivalent to the observer's single
-    shared instance because predictor state is per static op — the
-    other ops' training can never touch this op's entries.
+    A fresh instance per column is equivalent to the hardware's one
+    predictor shared by every predicted op, because predictor state is
+    per static op — the other ops' training can never touch this op's
+    entries.
     """
-    np = require_numpy()
     predictor = build()
     n = len(values)
     correct = np.zeros(n, dtype=bool)

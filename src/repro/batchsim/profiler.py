@@ -1,11 +1,7 @@
-"""Trace-driven profiling over the struct-of-arrays decode.
+"""Profiling over the struct-of-arrays decode of a value trace.
 
-The scalar profiling path replays the whole dynamic block sequence,
-dispatching two observers per block entry and per traced value
-(:func:`repro.trace.replay.replay_trace` driving
-:class:`~repro.profiling.block_profile.BlockFrequencyProfiler` and
-:class:`~repro.profiling.value_profile.ValueProfiler`).  Both consumers
-reduce to per-column facts the :class:`~repro.batchsim.arrays.TraceArrays`
+Both halves of a :class:`~repro.profiling.profile_run.ProfileData` reduce
+to per-column facts the :class:`~repro.batchsim.arrays.TraceArrays`
 decode already holds:
 
 * block frequencies are an ``np.bincount`` over the block sequence;
@@ -13,26 +9,27 @@ decode already holds:
   value column, because both profile predictors keep strictly per-key
   state (:mod:`repro.predict.stride`, :mod:`repro.predict.fcm`).
 
-So this module computes the identical :class:`ProfileData` one column at
-a time, with the predictor state machines inlined into a single loop per
-column.  Byte-parity notes:
+So this module computes the profile one column at a time, with the
+predictor state machines inlined into a single loop per column.  Order
+notes:
 
 * dict insertion order is observable through pickling, so both the
   block-count dict and the value-stats dict are built in *first dynamic
-  encounter* order, exactly as the streaming observers would;
-* ops that never execute get no stats entry (the scalar observer only
-  creates stats on first execution);
+  encounter* order;
+* ops that never execute get no stats entry;
 * the inlined predictors replicate two-delta stride and order-2 FCM
   update/predict rules verbatim, including ``_values_equal`` scoring and
   Python ``hash`` context hashing.
 
-The differential suite (``tests/batchsim/``) asserts equality against
-the replay path on hypothesis-generated programs.
+``tests/batchsim/test_profiler.py`` checks the inlined state machines
+against the real predictor classes.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
+
+import numpy as np
 
 from repro.profiling.block_profile import BlockProfile
 from repro.profiling.interpreter import ExecutionLimitExceeded
@@ -56,8 +53,7 @@ def column_stats(values: List) -> LoadValueStats:
     Inlines ``StridePredictor(two_delta=True)`` and
     ``FCMPredictor(order=2)`` for a single key: per value, score both
     predictions against the actual value, then update both state
-    machines — the exact event order of
-    :meth:`ValueProfiler.operation_executed`.
+    machines.
     """
     stats = LoadValueStats()
     stride_correct = 0
@@ -124,13 +120,10 @@ def batch_profile(
     profile_alu: bool = False,
 ):
     """The :class:`~repro.profiling.profile_run.ProfileData` of one
-    captured run, computed from the struct-of-arrays decode.
-
-    Identical to ``profile_program(program, trace=trace, ...)`` — same
-    counters, same dict orders, same limit/mismatch errors — but driven
-    column-wise through ``context``'s shared :class:`TraceArrays`.
+    captured run, computed column-wise through ``context``'s shared
+    :class:`TraceArrays` (the body of
+    :func:`repro.profiling.profile_run.profile_program`).
     """
-    import numpy as np
 
     from repro.profiling.profile_run import ProfileData
 

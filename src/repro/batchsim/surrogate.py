@@ -1,6 +1,6 @@
 """Analytical cycles surrogate: rank sweep points without simulating.
 
-The cycle-accurate simulator replays the whole value trace per point.
+The cycle-accurate simulator reads the whole value trace per point.
 For sweep *pruning* that is overkill: which points are worth simulating
 exactly is decided by their relative ordering, and a compiled program
 already contains everything an analytical estimate needs —
@@ -9,7 +9,7 @@ already contains everything an analytical estimate needs —
     exact by construction: every dynamic block instance of the
     no-prediction machine costs its original schedule length, and the
     profiled block counts come from the same trace the simulator
-    replays, so ``sum(count * original_length)`` *is* the simulator's
+    reads, so ``sum(count * original_length)`` *is* the simulator's
     number.
 
 ``cycles_proposed``
@@ -49,7 +49,7 @@ from typing import Tuple
 #: ``cycles_proposed`` estimate vs the cycle-accurate simulator on the
 #: golden suite (all benchmarks x {playdoh-4w, playdoh-8w} x thresholds
 #: {0.5, 0.65, 0.8}).  Asserted by tests/batchsim/test_surrogate.py and
-#: the CI batch-parity job; revisit if the estimate formula changes.
+#: the CI explore-smoke job; revisit if the estimate formula changes.
 DOCUMENTED_ERROR_BOUND = 0.05
 
 

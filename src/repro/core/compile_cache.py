@@ -18,10 +18,8 @@ Rules of the game:
 * values may be keyed by ``id(obj)`` of a product **only** when the memo
   value holds a strong reference to ``obj`` (then the id cannot be
   reused while the entry exists);
-* everything here is a *pure* memo — results are byte-identical with the
-  cache disabled.  ``REPRO_NO_BATCH=1`` turns the sharing off (see
-  :func:`repro.batchsim._compat.sharing_enabled`), which the CI parity
-  job uses to diff shared against fully-scalar artifacts.
+* everything here is a *pure* memo — results are byte-identical to
+  computing every product afresh.
 """
 
 from __future__ import annotations
@@ -29,8 +27,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Callable, Dict, Hashable, Tuple
 from weakref import WeakKeyDictionary
-
-from repro.batchsim._compat import sharing_enabled
 
 __all__ = [
     "baseline_block",
@@ -69,8 +65,6 @@ _STATS: Counter = Counter()
 def machine_fingerprint(machine) -> str:
     """Memoised ``machine.fingerprint()`` (hashes canonical spec JSON;
     memoised because every cache key embeds it)."""
-    if not sharing_enabled():
-        return machine.fingerprint()
     entry = _MACHINE_FPS.get(id(machine))
     if entry is None or entry[0] is not machine:
         entry = (machine, machine.fingerprint())
@@ -90,11 +84,6 @@ def latency_fingerprint(machine) -> Hashable:
     ``issue_width=2,4`` points build each block's DDG once, not once per
     width).
     """
-    if not sharing_enabled():
-        return (
-            tuple(sorted((op.value, lat) for op, lat in machine.latencies.items())),
-            machine.check_compare_cost,
-        )
     entry = _LATENCY_FPS.get(id(machine))
     if entry is None or entry[0] is not machine:
         key = (
@@ -110,11 +99,8 @@ def cached(block, key: Tuple, compute: Callable[[], Any]) -> Any:
     """Return the memoised product for ``(block, key)``.
 
     ``key`` must be a hashable tuple whose first element names the
-    product kind (used for hit/miss stats).  With sharing disabled this
-    is a transparent call-through.
+    product kind (used for hit/miss stats).
     """
-    if not sharing_enabled():
-        return compute()
     try:
         memo = _BLOCK_MEMOS.get(block)
     except TypeError:  # block not weakref-able (exotic test double)

@@ -1,14 +1,15 @@
 """Whole-program dynamic simulation of the proposed architecture.
 
-The program is executed architecturally by the interpreter; a simulation
-observer rides along and, for every dynamic instance of a speculated
-block, queries the live hardware value predictor for each predicted load,
-scores it against the actual loaded value, and charges the instance the
-dual-engine timing for the resulting correctness pattern (timings are
-memoised per pattern — a block with *n* predicted loads has at most
-``2^n`` distinct timings).
+One profiled run drives all three machine models.  The run is a value
+trace (:mod:`repro.trace`); :mod:`repro.batchsim` turns it into
+per-static-op predictor outcome columns — the live hardware value
+predictor scored against every predicted load's real value stream —
+and reduces them to per-block correctness-pattern counts
+(:class:`SimCounts`).  Each pattern is charged the dual-engine timing of
+its block (memoised per pattern — a block with *n* predicted loads has
+at most ``2^n`` distinct timings).
 
-The same pass simultaneously accounts the two comparison machines:
+The same counts account the two comparison machines:
 
 * **no prediction** — every block instance costs its original schedule
   length;
@@ -26,17 +27,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.ir.block import BasicBlock
-from repro.ir.operation import Operation
 from repro.obs.cycles import attribute_schedule
 from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, NULL_METRICS
-from repro.predict.base import ValuePredictor, _values_equal
+from repro.predict.base import ValuePredictor
 from repro.predict.confidence import ConfidenceEstimator
-from repro.predict.hybrid import default_hybrid
-from repro.predict.table import ValuePredictionTable
-from repro.profiling.interpreter import Interpreter
 from repro.core import compile_cache
 from repro.core.baseline import simulate_baseline_block, simulate_squash_block
 from repro.core.icache import CodeLayout, ICacheConfig, InstructionCache
@@ -46,6 +42,13 @@ from repro.core.metrics import (
     ProgramCompilation,
     classify_outcome,
 )
+
+
+class CycleAccountingError(RuntimeError):
+    """Simulated cycles and their attribution disagree.
+
+    Raised, not asserted, so the check survives ``python -O``.
+    """
 
 
 @dataclass
@@ -95,7 +98,7 @@ class ProgramSimResult:
     #: -> cause -> cycles, causes from :data:`repro.obs.cycles.CAUSES`);
     #: populated only when ``simulate_program`` ran with
     #: ``collect_cycles=True``.  Each stack sums exactly to the matching
-    #: ``cycles_*`` total — asserted at the end of the run.
+    #: ``cycles_*`` total — checked at the end of the run.
     cycle_stacks: Optional[Dict[str, Dict[str, int]]] = None
 
     @property
@@ -145,16 +148,18 @@ class ProgramSimResult:
 
 @dataclass
 class SimCounts:
-    """Sufficient statistics of one dynamic run (non-icache machines).
+    """Sufficient statistics of one dynamic run.
 
     Everything :func:`simulate_program` reports is an exact,
     deterministic function of these counts plus the (memoised) per-block
     compiler products: per label, how many instances ran non-speculated
     / confidence-gated / under each correctness pattern, plus the raw
-    predictor hit counters.  The scalar observer and the batched engine
-    (:mod:`repro.batchsim.engine`) both reduce a run to this record and
-    share :func:`_fold_counts` for the accounting — which is what makes
-    batched results byte-identical to scalar results by construction.
+    predictor and table counters.  :mod:`repro.batchsim.engine` reduces
+    a run to this record and :func:`_fold_counts` does the accounting.
+    Icache modelling additionally needs the dynamic order:
+    ``instance_codes`` then holds an int64 array with, per block
+    instance of the trace, its pattern code (``-1`` gated, ``-2`` not
+    speculated).
     """
 
     nonspec: Dict[str, int] = field(default_factory=dict)
@@ -163,6 +168,8 @@ class SimCounts:
     hits: int = 0
     misses: int = 0
     no_predictions: int = 0
+    table_tag_misses: int = 0
+    instance_codes: Optional[Any] = None
 
 
 def _shared_original_attribution(
@@ -172,7 +179,7 @@ def _shared_original_attribution(
 
     The compiler records only the original schedule *length*; list
     scheduling is deterministic, so rebuilding the schedule here
-    reproduces it exactly (asserted against the recorded length).
+    reproduces it exactly (checked against the recorded length).
     """
     block = compilation.program.main.block(comp.label)
     machine = compilation.machine
@@ -180,10 +187,12 @@ def _shared_original_attribution(
 
     def compute() -> Dict[str, int]:
         schedule = compile_cache.original_schedule(block, machine)
-        assert schedule.length == comp.original_length, (
-            f"block {comp.label!r}: rebuilt original schedule is "
-            f"{schedule.length} cycles, compiler recorded {comp.original_length}"
-        )
+        if schedule.length != comp.original_length:
+            raise CycleAccountingError(
+                f"block {comp.label!r}: rebuilt original schedule is "
+                f"{schedule.length} cycles, compiler recorded "
+                f"{comp.original_length}"
+            )
         return attribute_schedule(schedule)
 
     return compile_cache.cached(block, ("oattr", fp), compute)
@@ -196,7 +205,11 @@ def _shared_baseline_attribution(comp: BlockCompilation) -> Dict[str, int]:
 
     def compute():
         counts = attribute_schedule(baseline.schedule.schedule)
-        assert sum(counts.values()) == baseline.main_length
+        if sum(counts.values()) != baseline.main_length:
+            raise CycleAccountingError(
+                f"block {baseline.label!r}: baseline schedule attributes "
+                f"{sum(counts.values())} cycles of {baseline.main_length}"
+            )
         # The memo value pins the baseline object so the id in the key
         # stays valid for the entry's lifetime.
         return (baseline, counts)
@@ -267,16 +280,17 @@ def _fold_counts(
     collect_cycles: bool,
     cycle_stacks: Dict[str, Dict[str, int]],
     predictor_label: str,
+    merge_block_metrics: bool = True,
 ) -> None:
     """Deterministic accounting of a run from its sufficient statistics.
 
     Labels and patterns are folded in sorted order, each charged
     ``count`` times via multiplication, so every result container has a
-    canonical layout independent of dynamic encounter order — the
-    keystone of scalar/batched byte-parity.  Per-pattern block timings,
-    baseline and squash recovery runs are computed once per (block,
-    pattern) and shared process-wide through
-    :mod:`repro.core.compile_cache`.
+    canonical layout independent of dynamic encounter order.  Per-pattern
+    block timings, baseline and squash recovery runs are computed once
+    per (block, pattern) and shared process-wide through
+    :mod:`repro.core.compile_cache`.  ``merge_block_metrics=False``
+    leaves the per-pattern dual-engine metrics to the caller.
     """
     machine = compilation.machine
     res = result
@@ -324,7 +338,7 @@ def _fold_counts(
         for pattern in sorted(per_pattern):
             n = per_pattern[pattern]
             run = comp.run_for(pattern)
-            if registry.enabled:
+            if registry.enabled and merge_block_metrics:
                 registry.merge_snapshot(comp.metrics_for(pattern).scaled(n))
             res.cycles_proposed += run.effective_length * n
             res.predictions += run.predictions * n
@@ -362,336 +376,99 @@ def _fold_counts(
                 res.squashed_instances += n
 
 
-class _SimulationObserver:
-    """Interpreter observer driving all three machine accountings."""
-
-    def __init__(
-        self,
-        compilation: ProgramCompilation,
-        predictor: ValuePredictor,
-        result: ProgramSimResult,
-        model_icache: bool,
-        icache_config: Optional[ICacheConfig],
-        table: Optional[ValuePredictionTable] = None,
-        confidence: Optional[ConfidenceEstimator] = None,
-        metrics: MetricsRegistry = NULL_METRICS,
-        collect_cycles: bool = False,
-        counts: Optional[SimCounts] = None,
-    ):
-        self.compilation = compilation
-        self.predictor = predictor
-        self.result = result
-        # Counts mode (every non-icache run): the observer only records
-        # sufficient statistics; _fold_counts does all accounting after
-        # the run.  Icache modelling keeps the legacy per-instance path
-        # because cache state depends on the dynamic fetch sequence.
-        self.counts = counts
-        self.machine = compilation.machine
-        self.table = table
-        self.confidence = confidence
-        self.metrics = metrics
-        self.collect_cycles = collect_cycles
-        # Per-machine cause -> cycles accumulators, plus per-label memos
-        # of the static schedule attributions charged once per instance.
-        self.cycle_stacks: Dict[str, Dict[str, int]] = {
-            "nopred": {},
-            "proposed": {},
-            "baseline": {},
-        }
-        self._original_attr: Dict[str, Dict[str, int]] = {}
-        self._baseline_attr: Dict[str, Dict[str, int]] = {}
-        self._predictor_label = (
-            f"table:{predictor.name}" if table is not None else predictor.name
-        )
-
-        self._current: Optional[BlockCompilation] = None
-        self._predicted_ids: frozenset = frozenset()
-        self._outcomes: Dict[int, bool] = {}
-        self._gated = False
-
-        self.model_icache = model_icache
-        if model_icache:
-            config = icache_config or ICacheConfig()
-            self.layout = CodeLayout(config)
-            self.cache_proposed = InstructionCache(config)
-            self.cache_baseline = InstructionCache(config)
-            self._place_code()
+def _place_code(compilation: ProgramCompilation, layout: CodeLayout) -> None:
+    """Lay out main code, then the baseline's compensation blocks."""
+    for label, comp in compilation.blocks.items():
+        if comp.spec_schedule is not None:
+            op_count = len(comp.spec_schedule.spec.operations)
         else:
-            self.layout = None
-            self.cache_proposed = None
-            self.cache_baseline = None
+            op_count = len(compilation.program.main.block(label).operations)
+        layout.place(f"main:{label}", op_count)
+    for comp in compilation.blocks.values():
+        if comp.baseline is None:
+            continue
+        for c in comp.baseline.compensation.values():
+            if c.op_count:
+                layout.place(c.code_id, c.op_count)
 
-    def _place_code(self) -> None:
-        """Lay out main code, then the baseline's compensation blocks."""
-        for label, comp in self.compilation.blocks.items():
-            if comp.spec_schedule is not None:
-                op_count = len(comp.spec_schedule.spec.operations)
-            else:
-                op_count = len(
-                    self.compilation.program.main.block(label).operations
-                )
-            self.layout.place(f"main:{label}", op_count)
-        for label, comp in self.compilation.blocks.items():
-            if comp.baseline is None:
-                continue
-            for c in comp.baseline.compensation.values():
-                if c.op_count:
-                    self.layout.place(c.code_id, c.op_count)
 
-    # -- observer protocol -------------------------------------------------
+def _fold_icache(
+    compilation: ProgramCompilation,
+    trace,
+    counts: SimCounts,
+    result: ProgramSimResult,
+    cycle_stacks: Dict[str, Dict[str, int]],
+    config: Optional[ICacheConfig],
+    registry: MetricsRegistry,
+) -> Tuple[InstructionCache, InstructionCache]:
+    """Charge instruction-cache miss penalties in one in-order pass.
 
-    def block_entered(self, block: BasicBlock) -> None:
-        self._finish_instance()
-        self._current = self.compilation.blocks.get(block.label)
-        if self._current is not None and self._current.speculated:
-            self._predicted_ids = frozenset(self._current.predicted_load_ids)
-        else:
-            self._predicted_ids = frozenset()
-        self._outcomes = {}
-        # Confidence gating decides at fetch time (before the block's
-        # loads execute) whether this instance runs the speculative or
-        # the plain version of the block.
-        self._gated = bool(
-            self.confidence is not None
-            and self._predicted_ids
-            and any(
-                not self.confidence.confident(op_id)
-                for op_id in self._predicted_ids
-            )
-        )
+    Cache state depends on the dynamic fetch sequence, so this walks
+    ``block_seq``.  Every instance fetches ``main:<label>`` through the
+    proposed machine's cache and through the baseline's; a speculated
+    instance then fetches, through the baseline cache, the compensation
+    blocks of its mispredicted loads, in ``ldpred_ids`` order.  The
+    no-prediction and squash machines fetch the same block stream as
+    the proposed machine, so they pay its penalty too (the squash
+    machine's refetch on restart is folded into the same penalty).
 
-    def operation_executed(self, op: Operation, inputs, result) -> None:
-        if op.op_id not in self._predicted_ids:
-            return
-        if self.table is not None:
-            prediction = self.table.lookup(op.op_id)
-        else:
-            prediction = self.predictor.predict(op.op_id)
-        correct = prediction is not None and _values_equal(prediction, result)
-        self._outcomes[op.op_id] = correct
-        if self.counts is not None:
-            if correct:
-                self.counts.hits += 1
-            else:
-                self.counts.misses += 1
-            if prediction is None:
-                self.counts.no_predictions += 1
-        elif self.metrics.enabled:
-            self.metrics.inc(
-                "predict.hit" if correct else "predict.miss",
-                label=self._predictor_label,
-            )
-            if prediction is None:
-                self.metrics.inc(
-                    "predict.no_prediction", label=self._predictor_label
-                )
-        if self.table is not None:
-            self.table.train(op.op_id, result)
-        else:
-            self.predictor.update(op.op_id, result)
-        if self.confidence is not None:
-            self.confidence.record(op.op_id, correct)
-
-    def finish(self) -> None:
-        self._finish_instance()
-        self._current = None
-
-    # -- cycle accounting --------------------------------------------------
-
-    def _charge(self, model: str, counts: Mapping[str, int]) -> None:
-        stack = self.cycle_stacks[model]
-        for cause, cycles in counts.items():
-            stack[cause] = stack.get(cause, 0) + cycles
-
-    def _charge_cause(self, model: str, cause: str, cycles: int) -> None:
-        if self.collect_cycles and cycles:
-            stack = self.cycle_stacks[model]
-            stack[cause] = stack.get(cause, 0) + cycles
-
-    def _original_attribution(self, comp: BlockCompilation) -> Dict[str, int]:
-        """Static per-cause attribution of the block's original schedule.
-
-        The compiler records only the original schedule *length*; list
-        scheduling is deterministic, so rebuilding the schedule here
-        reproduces it exactly (asserted against the recorded length).
-        """
-        cached = self._original_attr.get(comp.label)
-        if cached is None:
-            schedule = compile_cache.original_schedule(
-                self.compilation.program.main.block(comp.label), self.machine
-            )
-            assert schedule.length == comp.original_length, (
-                f"block {comp.label!r}: rebuilt original schedule is "
-                f"{schedule.length} cycles, compiler recorded {comp.original_length}"
-            )
-            cached = attribute_schedule(schedule)
-            self._original_attr[comp.label] = cached
-        return cached
-
-    def _baseline_attribution(self, comp: BlockCompilation) -> Dict[str, int]:
-        """Static attribution of the baseline machine's main schedule."""
-        cached = self._baseline_attr.get(comp.label)
-        if cached is None:
-            cached = attribute_schedule(comp.baseline.schedule.schedule)
-            assert sum(cached.values()) == comp.baseline.main_length
-            self._baseline_attr[comp.label] = cached
-        return cached
-
-    # -- accounting -------------------------------------------------------
-
-    def _finish_instance(self) -> None:
-        comp = self._current
+    The pass also merges each speculated instance's dual-engine metrics
+    in fetch order, so histogram reservoirs sample the dynamic instance
+    stream.  Returns the two caches for their counters.
+    """
+    config = config or ICacheConfig()
+    layout = CodeLayout(config)
+    _place_code(compilation, layout)
+    proposed = InstructionCache(config)
+    baseline = InstructionCache(config)
+    plans = []
+    for label in trace.labels:
+        comp = compilation.blocks.get(label)
         if comp is None:
-            return
-        if self.counts is not None:
-            c = self.counts
-            if not comp.speculated:
-                c.nonspec[comp.label] = c.nonspec.get(comp.label, 0) + 1
-            elif self._gated:
-                c.gated[comp.label] = c.gated.get(comp.label, 0) + 1
-            else:
-                pattern = tuple(
-                    self._outcomes.get(load_id, False)
-                    for load_id in comp.predicted_load_ids
-                )
-                per = c.patterns.setdefault(comp.label, {})
-                per[pattern] = per.get(pattern, 0) + 1
-            return
-        res = self.result
-        res.dynamic_blocks += 1
-        res.cycles_nopred += comp.original_length
-
-        if not comp.speculated:
-            res.cycles_proposed += comp.original_length
-            res.cycles_baseline += comp.original_length
-            res.cycles_squash += comp.original_length
-            self._account_class(OutcomeClass.NOT_SPECULATED, comp.original_length, comp)
-            if self.collect_cycles:
-                counts = self._original_attribution(comp)
-                self._charge("nopred", counts)
-                self._charge("proposed", counts)
-                self._charge("baseline", counts)
-            if self.model_icache:
-                penalty = self.layout.fetch(self.cache_proposed, f"main:{comp.label}")
-                res.proposed_icache_cycles += penalty
-                res.cycles_proposed += penalty
-                # The no-prediction and squash machines fetch the same
-                # block stream; charging them the proposed machine's
-                # penalty keeps the speedup comparisons apples-to-apples.
-                res.cycles_nopred += penalty
-                res.cycles_squash += penalty
-                self._charge_cause("proposed", "icache_miss", penalty)
-                self._charge_cause("nopred", "icache_miss", penalty)
-                penalty = self.layout.fetch(self.cache_baseline, f"main:{comp.label}")
-                res.baseline_icache_cycles += penalty
-                res.cycles_baseline += penalty
-                self._charge_cause("baseline", "icache_miss", penalty)
-            return
-
-        if self._gated:
-            # Low-confidence instance: the fetch unit selected the plain
-            # (non-speculative) version of the block, so it costs the
-            # original schedule on both speculating machines.
-            res.gated_instances += 1
-            res.cycles_proposed += comp.original_length
-            res.cycles_baseline += comp.original_length
-            res.cycles_squash += comp.original_length
-            self._account_class(
-                OutcomeClass.NOT_SPECULATED, comp.original_length, comp
+            plans.append(None)
+            continue
+        recovery = ()
+        if comp.speculated:
+            compensation = comp.baseline.compensation
+            recovery = tuple(
+                (1 << j, compensation[ldpred].code_id)
+                for j, ldpred in enumerate(comp.spec_schedule.spec.ldpred_ids)
+                if compensation[ldpred].op_count
             )
-            if self.collect_cycles:
-                counts = self._original_attribution(comp)
-                self._charge("nopred", counts)
-                self._charge("proposed", counts)
-                self._charge("baseline", counts)
-            if self.model_icache:
-                penalty = self.layout.fetch(self.cache_proposed, f"main:{comp.label}")
-                res.proposed_icache_cycles += penalty
-                res.cycles_proposed += penalty
-                res.cycles_nopred += penalty
-                self._charge_cause("proposed", "icache_miss", penalty)
-                self._charge_cause("nopred", "icache_miss", penalty)
-                penalty = self.layout.fetch(self.cache_baseline, f"main:{comp.label}")
-                res.baseline_icache_cycles += penalty
-                res.cycles_baseline += penalty
-                self._charge_cause("baseline", "icache_miss", penalty)
-            return
-
-        pattern = tuple(
-            self._outcomes.get(load_id, False) for load_id in comp.predicted_load_ids
-        )
-        run = comp.run_for(pattern)
-        if self.metrics.enabled:
-            # One merge per dynamic instance: identical instances share
-            # the memoised per-pattern snapshot, so counters sum exactly
-            # as the instance-level stats below do.
-            self.metrics.merge_snapshot(comp.metrics_for(pattern))
-        res.cycles_proposed += run.effective_length
-        res.predictions += run.predictions
-        res.mispredictions += run.mispredictions
-        res.stall_cycles += run.stall_cycles
-        res.cc_executed += run.executed
-        res.cc_flushed += run.flushed
-        if self.collect_cycles:
-            self._charge("nopred", self._original_attribution(comp))
-            self._charge("proposed", comp.cycles_for(pattern))
-        outcome = classify_outcome(run.predictions, run.mispredictions)
-        self._account_class(outcome, run.effective_length, comp)
-        res.length_delta_histogram[comp.original_length - run.effective_length] += 1
-
-        ldpreds = comp.spec_schedule.spec.ldpred_ids
-        baseline_run = simulate_baseline_block(
-            comp.baseline,
-            dict(zip(ldpreds, pattern)),
-            self.machine,
-            cache=self.cache_baseline,
-            layout=self.layout,
-        )
-        res.cycles_baseline += baseline_run.effective_length
-        res.baseline_compensation_cycles += baseline_run.compensation_cycles
-        res.baseline_branch_cycles += baseline_run.branch_cycles
-        res.baseline_icache_cycles += baseline_run.icache_cycles
-        if self.collect_cycles:
-            # Main speculative schedule plus the three serial overheads;
-            # their sum is exactly baseline_run.effective_length.
-            self._charge("baseline", self._baseline_attribution(comp))
-            self._charge_cause(
-                "baseline", "reexec", baseline_run.compensation_cycles
-            )
-            self._charge_cause(
-                "baseline", "branch_penalty", baseline_run.branch_cycles
-            )
-            self._charge_cause(
-                "baseline", "icache_miss", baseline_run.icache_cycles
-            )
-
-        squash_run = simulate_squash_block(
-            comp.spec_schedule, dict(zip(ldpreds, pattern)), self.machine
-        )
-        res.cycles_squash += squash_run.effective_length
-        if squash_run.squashed:
-            res.squashed_instances += 1
-        if self.model_icache:
-            penalty = self.layout.fetch(self.cache_proposed, f"main:{comp.label}")
-            res.proposed_icache_cycles += penalty
-            res.cycles_proposed += penalty
-            res.cycles_nopred += penalty
-            # The squash machine fetches the same block stream (and
-            # refetches on restart, which this approximation folds into
-            # the same penalty).
-            res.cycles_squash += penalty
-            self._charge_cause("proposed", "icache_miss", penalty)
-            self._charge_cause("nopred", "icache_miss", penalty)
-
-    def _account_class(
-        self, outcome: OutcomeClass, cycles: int, comp: BlockCompilation
-    ) -> None:
-        res = self.result
-        res.cycles_by_class[outcome] = res.cycles_by_class.get(outcome, 0) + cycles
-        res.instances_by_class[outcome] = res.instances_by_class.get(outcome, 0) + 1
-        res.original_cycles_by_class[outcome] = (
-            res.original_cycles_by_class.get(outcome, 0) + comp.original_length
-        )
+        plans.append((f"main:{label}", recovery, comp))
+    proposed_penalty = 0
+    baseline_penalty = 0
+    for block_id, code in zip(trace.block_seq, counts.instance_codes.tolist()):
+        plan = plans[block_id]
+        if plan is None:
+            continue
+        main, recovery, comp = plan
+        proposed_penalty += layout.fetch(proposed, main)
+        baseline_penalty += layout.fetch(baseline, main)
+        if code < 0:
+            continue
+        for bit, code_id in recovery:
+            if not code & bit:
+                baseline_penalty += layout.fetch(baseline, code_id)
+        if registry.enabled:
+            k = len(comp.predicted_load_ids)
+            pattern = tuple(bool(code >> j & 1) for j in range(k))
+            registry.merge_snapshot(comp.metrics_for(pattern))
+    result.proposed_icache_cycles += proposed_penalty
+    result.cycles_proposed += proposed_penalty
+    result.cycles_nopred += proposed_penalty
+    result.cycles_squash += proposed_penalty
+    result.baseline_icache_cycles += baseline_penalty
+    result.cycles_baseline += baseline_penalty
+    for model, penalty in (
+        ("proposed", proposed_penalty),
+        ("nopred", proposed_penalty),
+        ("baseline", baseline_penalty),
+    ):
+        if penalty:
+            stack = cycle_stacks[model]
+            stack["icache_miss"] = stack.get("icache_miss", 0) + penalty
+    return proposed, baseline
 
 
 def simulate_program(
@@ -707,7 +484,7 @@ def simulate_program(
     trace=None,
     batch=None,
 ) -> ProgramSimResult:
-    """Execute the program once, timing all three machines.
+    """Time one run of the program on all three machines.
 
     Args:
         compilation: output of :func:`repro.core.metrics.compile_program`.
@@ -733,157 +510,98 @@ def simulate_program(
             timing results are identical either way.
         collect_cycles: attribute every cycle of all three machines to
             one cause (see :mod:`repro.obs.cycles`) into
-            ``result.cycle_stacks``; each stack is asserted to sum
+            ``result.cycle_stacks``; each stack is checked to sum
             exactly to the matching ``cycles_*`` total.  Off by default;
             timing results are identical either way.
         trace: a :class:`~repro.trace.ValueTrace` captured from this
-            compilation's program.  When given, the simulation observer
-            is driven from the recorded value stream instead of a live
-            interpretation — results are identical because the observer
-            consumes only block entries and traced-op result values.
-            The trace must cover every predicted load of the
-            compilation; :class:`~repro.trace.TraceMismatch` is raised
-            otherwise.
-        batch: opt into the batched struct-of-arrays engine
-            (:mod:`repro.batchsim`).  Pass a
-            :class:`~repro.batchsim.context.BatchContext` to share trace
-            decodes and predictor outcome columns across the points of a
-            sweep, or ``True`` for the process-wide default context.
-            The batched engine runs only when this simulation is on the
-            common path (trace-driven, machine-spec predictor, unbounded
-            table, no confidence gating, no icache) *and* NumPy is
-            available with ``REPRO_NO_BATCH`` unset; anything else falls
-            back to the scalar engine.  Results are byte-identical
-            either way — both engines reduce the run to
-            :class:`SimCounts` and share one accounting fold.
+            compilation's program; ``None`` captures one (raising
+            :class:`~repro.profiling.interpreter.ExecutionLimitExceeded`
+            past ``max_operations``).  The trace must cover every
+            predicted load of the compilation;
+            :class:`~repro.trace.TraceMismatch` is raised otherwise.
+        batch: the :class:`~repro.batchsim.context.BatchContext` whose
+            trace decodes and predictor outcome columns this simulation
+            shares with the other points of a sweep; ``None`` uses the
+            process-wide default context.
     """
+    from repro.batchsim.context import resolve_context
+    from repro.batchsim.engine import batch_counts
+    from repro.batchsim.outcomes import build_predictor
+    from repro.trace.format import TRACED_OPCODES, TraceMismatch
+
     result = ProgramSimResult(
         program_name=compilation.program.name,
         machine_name=compilation.machine.name,
     )
     registry = MetricsRegistry() if collect_metrics else NULL_METRICS
     machine_predictor = getattr(compilation.machine, "predictor", None)
-    if predictor is not None:
-        base_predictor = predictor
-    elif machine_predictor is not None:
-        # The machine spec declares the hardware predictor; the registry
-        # machines declare the paper's hybrid, so this default matches
-        # the historical ``default_hybrid()``.
-        base_predictor = machine_predictor.build()
-    else:
-        base_predictor = default_hybrid()
     if table_capacity is None and machine_predictor is not None:
         table_capacity = machine_predictor.table_entries
-    table = (
-        ValuePredictionTable(base_predictor, capacity=table_capacity)
-        if table_capacity is not None
-        else None
-    )
-    predictor_label = (
-        f"table:{base_predictor.name}" if table is not None else base_predictor.name
-    )
-    if trace is not None:
-        from repro.trace.format import TRACED_OPCODES, TraceMismatch
+    if table_capacity is not None and table_capacity < 1:
+        raise ValueError("capacity must be positive or None")
+    if predictor is None:
+        name = build_predictor(compilation.machine).name
+    else:
+        name = predictor.name
+    predictor_label = f"table:{name}" if table_capacity is not None else name
+    if trace is None:
+        from repro.trace.capture import capture_trace
 
-        # Static coverage check: replay only notifies traced ops, so
-        # every load (or ALU op) the compilation predicts must be in the
-        # traced set — otherwise its outcomes would silently default to
-        # "mispredicted" instead of being scored against real values.
-        function = compilation.program.main
-        for label, comp in compilation.blocks.items():
-            if not comp.speculated:
-                continue
-            traced_ids = {
-                op.op_id
-                for op in function.block(label).operations
-                if op.opcode in TRACED_OPCODES
-            }
-            missing = set(comp.predicted_load_ids) - traced_ids
-            if missing:
-                raise TraceMismatch(
-                    f"block {label!r} of {compilation.program.name!r} "
-                    f"predicts untraced operation(s) {sorted(missing)}"
-                )
+        trace = capture_trace(compilation.program, max_operations=max_operations)
+    # Static coverage check: only traced ops have value columns, so
+    # every load (or ALU op) the compilation predicts must be traced.
+    function = compilation.program.main
+    for label, comp in compilation.blocks.items():
+        if not comp.speculated:
+            continue
+        traced_ids = {
+            op.op_id
+            for op in function.block(label).operations
+            if op.opcode in TRACED_OPCODES
+        }
+        missing = set(comp.predicted_load_ids) - traced_ids
+        if missing:
+            raise TraceMismatch(
+                f"block {label!r} of {compilation.program.name!r} "
+                f"predicts untraced operation(s) {sorted(missing)}"
+            )
 
-    counts_mode = not model_icache
+    counts = batch_counts(
+        compilation,
+        trace,
+        resolve_context(batch),
+        max_operations,
+        predictor=predictor,
+        table_capacity=table_capacity,
+        confidence=confidence,
+        instance_codes=model_icache,
+    )
     cycle_stacks: Dict[str, Dict[str, int]] = {
         "nopred": {},
         "proposed": {},
         "baseline": {},
     }
-    batched = False
-    if batch is not None and counts_mode:
-        from repro.batchsim.engine import batch_counts, unsupported_reason
-
-        if (
-            unsupported_reason(
-                predictor=predictor,
-                table=table,
-                confidence=confidence,
-                model_icache=model_icache,
-                trace=trace,
-            )
-            is None
-        ):
-            from repro.batchsim.context import resolve_context
-
-            sim_counts = batch_counts(
-                compilation, trace, resolve_context(batch), max_operations
-            )
-            _fold_counts(
-                compilation,
-                sim_counts,
-                result,
-                registry,
-                collect_cycles,
-                cycle_stacks,
-                predictor_label,
-            )
-            batched = True
-
-    observer = None
-    if not batched:
-        sim_counts = SimCounts() if counts_mode else None
-        observer = _SimulationObserver(
+    _fold_counts(
+        compilation,
+        counts,
+        result,
+        registry,
+        collect_cycles,
+        cycle_stacks,
+        predictor_label,
+        merge_block_metrics=not model_icache,
+    )
+    result.table_tag_misses = counts.table_tag_misses
+    if model_icache:
+        caches = _fold_icache(
             compilation,
-            base_predictor,
+            trace,
+            counts,
             result,
-            model_icache=model_icache,
-            icache_config=icache_config,
-            table=table,
-            confidence=confidence,
-            metrics=registry,
-            collect_cycles=collect_cycles,
-            counts=sim_counts,
+            cycle_stacks,
+            icache_config,
+            registry,
         )
-        if trace is not None:
-            from repro.trace.replay import replay_trace
-
-            replay_trace(
-                trace,
-                compilation.program,
-                observers=[observer],
-                max_operations=max_operations,
-            )
-        else:
-            Interpreter(max_operations=max_operations).run(
-                compilation.program, observers=[observer]
-            )
-        observer.finish()
-        if table is not None:
-            result.table_tag_misses = table.tag_misses
-        if counts_mode:
-            _fold_counts(
-                compilation,
-                sim_counts,
-                result,
-                registry,
-                collect_cycles,
-                cycle_stacks,
-                predictor_label,
-            )
-        else:
-            cycle_stacks = observer.cycle_stacks
     if collect_cycles:
         totals = {
             "nopred": result.cycles_nopred,
@@ -894,11 +612,12 @@ def simulate_program(
             # The hard program-level invariant: every simulated cycle of
             # every machine is attributed to exactly one cause.
             attributed = sum(stack.values())
-            assert attributed == totals[model], (
-                f"{result.program_name} on {result.machine_name}: "
-                f"{model} cycle stack sums to {attributed}, "
-                f"simulated {totals[model]} cycles"
-            )
+            if attributed != totals[model]:
+                raise CycleAccountingError(
+                    f"{result.program_name} on {result.machine_name}: "
+                    f"{model} cycle stack sums to {attributed}, "
+                    f"simulated {totals[model]} cycles"
+                )
         result.cycle_stacks = {
             model: dict(sorted(stack.items()))
             for model, stack in cycle_stacks.items()
@@ -913,17 +632,8 @@ def simulate_program(
         registry.inc("sim.dynamic_blocks", result.dynamic_blocks)
         registry.inc("sim.gated_instances", result.gated_instances)
         if model_icache:
-            registry.inc(
-                "icache.access", observer.cache_proposed.accesses, label="proposed"
-            )
-            registry.inc(
-                "icache.miss", observer.cache_proposed.misses, label="proposed"
-            )
-            registry.inc(
-                "icache.access", observer.cache_baseline.accesses, label="baseline"
-            )
-            registry.inc(
-                "icache.miss", observer.cache_baseline.misses, label="baseline"
-            )
+            for model, cache in zip(("proposed", "baseline"), caches):
+                registry.inc("icache.access", cache.accesses, label=model)
+                registry.inc("icache.miss", cache.misses, label=model)
         result.metrics = registry.snapshot()
     return result

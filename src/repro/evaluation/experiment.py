@@ -148,9 +148,8 @@ EXPERIMENT_NEEDS: Dict[str, Tuple[Tuple[str, str, bool, bool], ...]] = {
 # memos (:mod:`repro.core.compile_cache`) and the batched simulation
 # context (:mod:`repro.batchsim`) hit across points.  Pure memos:
 # ``load_benchmark``/``run_program_passes``/``profile_program`` are
-# deterministic, so results are byte-identical with sharing off
-# (``REPRO_NO_BATCH=1``).  ``repro.batchsim.reset_shared_state`` clears
-# these together with the other process-wide caches.
+# deterministic.  ``repro.batchsim.reset_shared_state`` clears these
+# together with the other process-wide caches.
 
 _SHARED_PROGRAMS: Dict[Tuple[str, float, Optional[str]], Program] = {}
 _SHARED_PROFILES: Dict[Tuple[str, float, Optional[str]], ProfileData] = {}
@@ -163,10 +162,6 @@ def reset_shared_products() -> None:
 
 
 def _shared(store: Dict, key: Tuple, compute):
-    from repro.batchsim._compat import sharing_enabled
-
-    if not sharing_enabled():
-        return compute()
     if key not in store:
         store[key] = compute()
     return store[key]
@@ -200,7 +195,7 @@ class Evaluation:
         #: default store, so *separate* Evaluation instances over the
         #: same built program — a threshold sweep — still interpret it
         #: only once.  Pass a fresh :class:`repro.trace.TraceStore` to
-        #: isolate, or set ``REPRO_NO_TRACE=1`` to disable replay.
+        #: isolate.
         self.trace_store = trace_store
         self._machines: Dict[str, MachineDescription] = {}
         self._programs: Dict[str, Program] = {}
@@ -219,16 +214,11 @@ class Evaluation:
     # -- pipeline stages ----------------------------------------------------
 
     def _trace_of(self, program: Program):
-        """The cached value trace for ``program``, or ``None``.
+        """The value trace for ``program``, captured on first use through
+        the configured (or default process-wide)
+        :class:`repro.trace.TraceStore`."""
+        from repro.trace.store import default_store
 
-        Capture-on-first-use through the configured (or default
-        process-wide) :class:`repro.trace.TraceStore`; disabled entirely
-        by ``REPRO_NO_TRACE=1``.
-        """
-        from repro.trace.store import default_store, replay_enabled
-
-        if not replay_enabled():
-            return None
         store = self.trace_store if self.trace_store is not None else default_store()
         return store.get_or_capture(program)
 
@@ -268,9 +258,7 @@ class Evaluation:
                 self._profiles[name] = _shared(
                     _SHARED_PROFILES,
                     (name, self.settings.scale, None),
-                    lambda: profile_program(
-                        program, trace=self._trace_of(program), batch=True
-                    ),
+                    lambda: profile_program(program, trace=self._trace_of(program)),
                 )
         return self._profiles[name]
 
@@ -346,9 +334,7 @@ class Evaluation:
                 self._variant_profiles[key] = _shared(
                     _SHARED_PROFILES,
                     (name, self.settings.scale, pipeline.fingerprint()),
-                    lambda: profile_program(
-                        program, trace=self._trace_of(program), batch=True
-                    ),
+                    lambda: profile_program(program, trace=self._trace_of(program)),
                 )
         return self._variant_profiles[key]
 
@@ -410,36 +396,14 @@ class Evaluation:
                     )
                 )
             else:
-                from repro.trace.format import TraceMismatch
-
                 compilation = self.compilation(name, machine)
-                trace = self._trace_of(compilation.program)
-                if trace is not None:
-                    try:
-                        # batch=True opts into the struct-of-arrays
-                        # engine via the process-wide context, sharing
-                        # trace decodes and predictor outcome columns
-                        # with the other points of a sweep; it falls
-                        # back to the scalar engine (byte-identically)
-                        # whenever the configuration is off the batched
-                        # common path.
-                        self._simulations[key] = simulate_program(
-                            compilation,
-                            model_icache=model_icache,
-                            collect_metrics=self.collect_metrics,
-                            collect_cycles=cycles,
-                            trace=trace,
-                            batch=True,
-                        )
-                    except TraceMismatch:
-                        trace = None
-                if trace is None:
-                    self._simulations[key] = simulate_program(
-                        compilation,
-                        model_icache=model_icache,
-                        collect_metrics=self.collect_metrics,
-                        collect_cycles=cycles,
-                    )
+                self._simulations[key] = simulate_program(
+                    compilation,
+                    model_icache=model_icache,
+                    collect_metrics=self.collect_metrics,
+                    collect_cycles=cycles,
+                    trace=self._trace_of(compilation.program),
+                )
         return self._simulations[key]
 
     # -- runner integration -------------------------------------------------

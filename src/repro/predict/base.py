@@ -9,9 +9,9 @@ protocol is the standard two-phase one of the value-prediction literature
   the predictor has no basis for a prediction yet;
 * ``update(key, actual)`` — train with the architecturally correct value.
 
-The profiling pass (:mod:`repro.profiling.value_profile`) replays a
-program's value streams through predictor instances to obtain per-load
-prediction rates, and the dynamic simulation uses a live predictor as the
+The profiling pass (:mod:`repro.profiling.value_profile`) runs a
+program's value streams through stride and FCM predictors to obtain
+per-load prediction rates, and the dynamic simulation uses a live predictor as the
 hardware Value Predictor of the paper's Figure 5.
 """
 

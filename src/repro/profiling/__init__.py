@@ -1,6 +1,6 @@
 """Architectural execution and profiling (block frequency, value profiles)."""
 
-from repro.profiling.block_profile import BlockFrequencyProfiler, BlockProfile
+from repro.profiling.block_profile import BlockProfile
 from repro.profiling.interpreter import (
     ExecutionLimitExceeded,
     ExecutionObserver,
@@ -10,10 +10,9 @@ from repro.profiling.interpreter import (
 )
 from repro.profiling.memory import Memory
 from repro.profiling.profile_run import ProfileData, profile_program
-from repro.profiling.value_profile import LoadValueStats, ValueProfile, ValueProfiler
+from repro.profiling.value_profile import LoadValueStats, ValueProfile
 
 __all__ = [
-    "BlockFrequencyProfiler",
     "BlockProfile",
     "ExecutionLimitExceeded",
     "ExecutionObserver",
@@ -23,7 +22,6 @@ __all__ = [
     "Memory",
     "ProfileData",
     "ValueProfile",
-    "ValueProfiler",
     "profile_program",
     "run_program",
 ]

@@ -3,26 +3,25 @@
 The interpreter executes a program the way the paper's HP PA-RISC host
 executed the benchmarks during profiling: sequentially, with exact
 values.  Observers hook block entries and executed operations, which is
-how block-frequency profiling, value profiling and the dynamic
-dual-engine simulation all attach to execution without duplicating the
-semantics.
+how trace capture (:mod:`repro.trace.capture`) and workload
+characterisation attach to execution without duplicating the semantics;
+profiling and simulation then read the captured trace.
 
 Two execution paths produce byte-identical results:
 
-* The **specialized fast path** (the default) precompiles each basic
-  block, once per static block per run, into a dispatch list of per-op
-  closures: the opcode handler, operand readers and destination slot are
-  resolved at compile time instead of being re-dispatched for every
-  dynamic instance.  Observer-less runs additionally skip building the
-  per-op ``inputs`` tuples entirely.
-* The **legacy loop** — the original per-dynamic-op dispatch — is kept
-  behind ``REPRO_SLOW_INTERP=1`` for differential testing.  It is the
-  executable specification the fast path is checked against.
+* The **specialized fast path** (what :meth:`Interpreter.run` executes)
+  precompiles each basic block, once per static block per run, into a
+  dispatch list of per-op closures: the opcode handler, operand readers
+  and destination slot are resolved at compile time instead of being
+  re-dispatched for every dynamic instance.  Observer-less runs
+  additionally skip building the per-op ``inputs`` tuples entirely.
+* The **legacy loop** — the original per-dynamic-op dispatch,
+  :meth:`Interpreter._run_legacy` — is the executable specification the
+  fast path is checked against (``tests/profiling/test_fast_path.py``).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Tuple, Union
 
@@ -31,10 +30,6 @@ from repro.ir.opcodes import Opcode, evaluator, is_alu
 from repro.ir.operation import Imm, Operation, Reg
 from repro.ir.program import Program
 from repro.profiling.memory import Memory, Number
-
-#: Environment variable forcing the legacy per-op dispatch loop.
-SLOW_INTERP_ENV = "REPRO_SLOW_INTERP"
-
 
 class ExecutionObserver(Protocol):
     """Hook interface for profilers and simulators."""
@@ -333,10 +328,7 @@ class Interpreter:
         program: Program,
         observers: Optional[List[ExecutionObserver]] = None,
     ) -> ExecutionResult:
-        observers = observers or []
-        if os.environ.get(SLOW_INTERP_ENV) == "1":
-            return self._run_legacy(program, observers)
-        return self._run_fast(program, observers)
+        return self._run_fast(program, observers or [])
 
     # -- specialized fast path ----------------------------------------------
 

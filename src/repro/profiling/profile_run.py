@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ir.program import Program
-from repro.profiling.block_profile import BlockFrequencyProfiler, BlockProfile
-from repro.profiling.interpreter import ExecutionResult, Interpreter
-from repro.profiling.value_profile import ValueProfile, ValueProfiler
+from repro.profiling.block_profile import BlockProfile
+from repro.profiling.interpreter import ExecutionResult
+from repro.profiling.value_profile import ValueProfile
 
 
 @dataclass(frozen=True)
@@ -39,54 +39,23 @@ def profile_program(
     ``profile_alu=True`` additionally value-profiles long-latency ALU
     results (mul/div/...), enabling ``SpeculationConfig.predict_alu``.
 
-    ``trace`` (a :class:`~repro.trace.ValueTrace` captured from this
-    program) replays the recorded value stream instead of interpreting —
-    the profilers consume only block entries and traced-op results, both
-    of which the trace records exactly, so the profile is identical.
-
-    ``batch`` opts into the column-wise struct-of-arrays profiler
-    (:mod:`repro.batchsim.profiler`): pass a
-    :class:`~repro.batchsim.context.BatchContext` (or ``True`` for the
-    process-wide default) to profile from the shared trace decode.
-    Requires ``trace``; falls back to the replay path when NumPy is
-    unavailable or ``REPRO_NO_BATCH=1`` is set.  The profile is
-    byte-identical either way.
+    ``trace`` is a :class:`~repro.trace.ValueTrace` captured from this
+    program; ``None`` captures one.  Both profiles are computed from
+    the trace's columns (:mod:`repro.batchsim.profiler`), through
+    ``batch``'s :class:`~repro.batchsim.context.BatchContext` — ``None``
+    is the process-wide default — so sweeps share the trace decode.
     """
-    from repro.profiling.value_profile import LONG_LATENCY_OPCODES
+    from repro.batchsim.context import resolve_context
+    from repro.batchsim.profiler import batch_profile
 
-    if batch is not None and trace is not None:
-        from repro.batchsim._compat import batch_enabled
+    if trace is None:
+        from repro.trace.capture import capture_trace
 
-        if batch_enabled():
-            from repro.batchsim.context import resolve_context
-            from repro.batchsim.profiler import batch_profile
-
-            return batch_profile(
-                program,
-                trace,
-                resolve_context(batch),
-                max_operations=max_operations,
-                profile_alu=profile_alu,
-            )
-
-    block_profiler = BlockFrequencyProfiler()
-    value_profiler = ValueProfiler(
-        extra_opcodes=LONG_LATENCY_OPCODES if profile_alu else ()
-    )
-    observers = [block_profiler, value_profiler]
-    if trace is not None:
-        from repro.trace.replay import replay_trace
-
-        result = replay_trace(
-            trace, program, observers=observers, max_operations=max_operations
-        )
-    else:
-        result = Interpreter(max_operations=max_operations).run(
-            program, observers=observers
-        )
-    return ProfileData(
-        program_name=program.name,
-        blocks=block_profiler.profile(),
-        values=value_profiler.profile(),
-        execution=result,
+        trace = capture_trace(program, max_operations=max_operations)
+    return batch_profile(
+        program,
+        trace,
+        resolve_context(batch),
+        max_operations=max_operations,
+        profile_alu=profile_alu,
     )

@@ -25,11 +25,10 @@ simulate   compile + trace (+ model_icache) ``ProgramSimResult``
 
 ``trace`` interprets the built program exactly once and records the
 value stream (:mod:`repro.trace`); ``profile`` and ``simulate`` then
-*replay* it instead of re-interpreting.  Like ``profile``, the trace key
-excludes the machine and speculation config, so every sweep point of a
-threshold/predictor/machine ablation shares one cached interpretation.
-Setting ``REPRO_NO_TRACE=1`` removes the trace stage from the graph and
-every stage interprets live, as before.
+compute from its columns instead of re-interpreting.  Like ``profile``,
+the trace key excludes the machine and speculation config, so every
+sweep point of a threshold/predictor/machine ablation shares one cached
+interpretation.
 
 ``build`` exists because operation ids are assigned from a process-local
 counter: profiles and compilations reference programs *by op id*, so all
@@ -285,12 +284,8 @@ def _run_build(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
 
 
 def _maybe_trace(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
-    """The spec's trace dependency result, or ``None``.
-
-    Tolerant of absence: with ``REPRO_NO_TRACE=1`` the graph carries no
-    trace jobs, and a graph built under one setting may execute under
-    another — a missing trace simply means "interpret live".
-    """
+    """The spec's trace dependency result, or ``None`` when the job was
+    built without one (profile and simulate then capture their own)."""
     for dep in default_deps(spec):
         if dep.stage == "trace" and dep.key() in dep_results:
             return dep_results[dep.key()]
@@ -306,21 +301,13 @@ def _run_trace(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
 
 def _run_profile(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
     from repro.profiling.profile_run import profile_program
-    from repro.trace.format import TraceMismatch
 
     program = dep_result(spec, dep_results, "build")
-    profile_alu = bool(spec.param("profile_alu", False))
-    trace = _maybe_trace(spec, dep_results)
-    if trace is not None:
-        try:
-            # batch=True: column-wise profiling off the shared trace
-            # decode (byte-identical; scalar replay off the common path).
-            return profile_program(
-                program, profile_alu=profile_alu, trace=trace, batch=True
-            )
-        except TraceMismatch:
-            pass
-    return profile_program(program, profile_alu=profile_alu)
+    return profile_program(
+        program,
+        profile_alu=bool(spec.param("profile_alu", False)),
+        trace=_maybe_trace(spec, dep_results),
+    )
 
 
 def _run_compile(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
@@ -339,30 +326,13 @@ def _run_compile(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
 
 def _run_simulate(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
     from repro.core.program_sim import simulate_program
-    from repro.trace.format import TraceMismatch
 
-    compilation = dep_result(spec, dep_results, "compile")
-    model_icache = bool(spec.param("model_icache", False))
-    collect_metrics = bool(spec.param("collect_metrics", False))
-    collect_cycles = bool(spec.param("collect_cycles", False))
-    trace = _maybe_trace(spec, dep_results)
-    if trace is not None:
-        try:
-            return simulate_program(
-                compilation,
-                model_icache=model_icache,
-                collect_metrics=collect_metrics,
-                collect_cycles=collect_cycles,
-                trace=trace,
-                batch=True,
-            )
-        except TraceMismatch:
-            pass
     return simulate_program(
-        compilation,
-        model_icache=model_icache,
-        collect_metrics=collect_metrics,
-        collect_cycles=collect_cycles,
+        dep_result(spec, dep_results, "compile"),
+        model_icache=bool(spec.param("model_icache", False)),
+        collect_metrics=bool(spec.param("collect_metrics", False)),
+        collect_cycles=bool(spec.param("collect_cycles", False)),
+        trace=_maybe_trace(spec, dep_results),
     )
 
 
@@ -378,7 +348,6 @@ def _run_batch_simulate(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
     """
     from repro.core.metrics import ProgramCompilation
     from repro.core.program_sim import simulate_program
-    from repro.trace.format import TraceMismatch
 
     compilations = sorted(
         (v for v in dep_results.values() if isinstance(v, ProgramCompilation)),
@@ -393,28 +362,15 @@ def _run_batch_simulate(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
     collect_metrics = bool(spec.param("collect_metrics", False))
     collect_cycles = bool(spec.param("collect_cycles", False))
     trace = _maybe_trace(spec, dep_results)
-    results = {}
-    for comp in compilations:
-        result = None
-        if trace is not None:
-            try:
-                result = simulate_program(
-                    comp,
-                    collect_metrics=collect_metrics,
-                    collect_cycles=collect_cycles,
-                    trace=trace,
-                    batch=True,
-                )
-            except TraceMismatch:
-                trace = None
-        if result is None:
-            result = simulate_program(
-                comp,
-                collect_metrics=collect_metrics,
-                collect_cycles=collect_cycles,
-            )
-        results[comp.machine.fingerprint()] = result
-    return results
+    return {
+        comp.machine.fingerprint(): simulate_program(
+            comp,
+            collect_metrics=collect_metrics,
+            collect_cycles=collect_cycles,
+            trace=trace,
+        )
+        for comp in compilations
+    }
 
 
 register_stage("build", _run_build)
@@ -564,8 +520,6 @@ def batch_simulate_job(
     fingerprint alone cannot rebuild one), so batch jobs must be
     constructed through this helper rather than :func:`job_for`.
     """
-    from repro.trace.store import replay_enabled
-
     spec = batch_simulate_spec(
         benchmark, machines, scale,
         spec_config=spec_config,
@@ -591,17 +545,14 @@ def default_deps(spec: JobSpec) -> Tuple[JobSpec, ...]:
     materialise a dependency that was only named, never constructed.
     Injected test stages have no implicit dependencies.
     """
-    from repro.trace.store import replay_enabled
-
     profile_alu = bool(spec.param("profile_alu", False))
-    with_trace = replay_enabled()
     if spec.stage == "trace":
         return (build_spec(spec.benchmark, spec.scale, spec.pipeline),)
     if spec.stage == "profile":
-        deps = (build_spec(spec.benchmark, spec.scale, spec.pipeline),)
-        if with_trace:
-            deps += (trace_spec(spec.benchmark, spec.scale, spec.pipeline),)
-        return deps
+        return (
+            build_spec(spec.benchmark, spec.scale, spec.pipeline),
+            trace_spec(spec.benchmark, spec.scale, spec.pipeline),
+        )
     if spec.stage == "compile":
         return (
             build_spec(spec.benchmark, spec.scale, spec.pipeline),
@@ -612,21 +563,17 @@ def default_deps(spec: JobSpec) -> Tuple[JobSpec, ...]:
     if spec.stage == "simulate":
         if spec.machine is None:
             raise ValueError(f"{spec.job_id}: simulate jobs need a machine")
-        deps = (
+        return (
             compile_spec(
                 spec.benchmark, spec.machine, spec.scale,
                 spec.spec_config, profile_alu, spec.pipeline,
             ),
+            trace_spec(spec.benchmark, spec.scale, spec.pipeline),
         )
-        if with_trace:
-            deps += (trace_spec(spec.benchmark, spec.scale, spec.pipeline),)
-        return deps
     if spec.stage == "batch_simulate":
         # Only the trace dep is derivable from the spec: the compile
         # deps need machine objects, which batch_simulate_job attaches.
-        if with_trace:
-            return (trace_spec(spec.benchmark, spec.scale, spec.pipeline),)
-        return ()
+        return (trace_spec(spec.benchmark, spec.scale, spec.pipeline),)
     return ()
 
 

@@ -1,10 +1,11 @@
-"""Value-stream capture and replay.
+"""Value-stream capture.
 
 One architectural run per (program, pipeline fingerprint) is recorded as
 a compact trace — the dynamic block sequence plus the result values of
 traced operations — and every downstream consumer (block/value
 profiling, the dual-engine program simulation, all sweep points of an
-ablation) replays that trace instead of re-interpreting the program.
+ablation) reads that trace's columns instead of re-interpreting the
+program.
 """
 
 from repro.trace.capture import TraceCaptureObserver, capture_trace
@@ -17,17 +18,9 @@ from repro.trace.format import (
     block_signature,
     program_digest,
 )
-from repro.trace.replay import replay_trace
-from repro.trace.store import (
-    NO_TRACE_ENV,
-    TraceStore,
-    default_store,
-    replay_enabled,
-    reset_default_store,
-)
+from repro.trace.store import TraceStore, default_store, reset_default_store
 
 __all__ = [
-    "NO_TRACE_ENV",
     "TRACED_OPCODES",
     "TRACE_SCHEMA_VERSION",
     "TraceCaptureObserver",
@@ -39,7 +32,5 @@ __all__ = [
     "capture_trace",
     "default_store",
     "program_digest",
-    "replay_enabled",
-    "replay_trace",
     "reset_default_store",
 ]

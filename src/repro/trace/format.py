@@ -3,8 +3,8 @@
 A :class:`ValueTrace` records everything the downstream consumers of an
 architectural run actually use — the dynamic block sequence and the
 result values of *traced* operations (loads and long-latency ALU ops,
-the only opcodes the value profiler and the simulation observer read) —
-plus the run's final architectural state, so replay can reconstruct a
+the only opcodes value profiling and simulation read) — plus the run's
+final architectural state, so a consumer can reconstruct a
 byte-identical :class:`~repro.profiling.interpreter.ExecutionResult`
 without re-interpreting the program.
 
@@ -17,13 +17,13 @@ Format invariants (see ``docs/INTERNALS.md`` for the full spec):
   block instance consumes one value per *traced* static operation of
   that block, in static (program) order; instances are concatenated in
   ``block_seq`` order.  Predicted loads are a subset of traced ops, so
-  the replay driver can feed the simulation observer without knowing the
-  speculation decisions at capture time.
+  one trace serves every simulation without knowing the speculation
+  decisions at capture time.
 * **Identity** — ``program_digest`` hashes the program *structure*
   (labels, opcode/operand/target sequences, initial state) but not
   operation ids, which are assigned by a process-global counter and
-  differ between builds of the same program.  A trace therefore replays
-  against any structurally identical program.
+  differ between builds of the same program.  A trace therefore serves
+  any structurally identical program.
 * **Versioning** — ``schema_version`` gates compatibility; loaders
   reject other versions rather than misinterpreting the stream.
 """
@@ -89,12 +89,9 @@ def program_digest(program: Program) -> str:
     ids, so two builds of the same workload (whose ids depend on global
     counter state) share one trace.
     """
-    from repro.batchsim._compat import sharing_enabled
-
-    if sharing_enabled():
-        entry = _DIGESTS.get(id(program))
-        if entry is not None and entry[0] is program:
-            return entry[1]
+    entry = _DIGESTS.get(id(program))
+    if entry is not None and entry[0] is program:
+        return entry[1]
     doc = {
         "name": program.name,
         "main": program.main_name,
@@ -126,8 +123,7 @@ def program_digest(program: Program) -> str:
     }
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
-    if sharing_enabled():
-        _DIGESTS[id(program)] = (program, digest)
+    _DIGESTS[id(program)] = (program, digest)
     return digest
 
 

@@ -1,29 +1,14 @@
-"""Replaying a captured value trace through execution observers.
+"""Resolving a captured value trace against a program.
 
-Replay walks the recorded dynamic block sequence and, for each block
-instance, notifies observers of the block entry and of each *traced*
-static operation with its recorded result value.  That is exactly the
-subset of execution events the block-frequency profiler, the value
-profiler and the dual-engine simulation observer consume — so replay
-produces identical profiles and simulation results at a fraction of the
-cost of re-interpreting every dynamic operation.
-
-Observers receive ``inputs=()`` during replay: operand values are not
-recorded in the trace, and no shipped observer reads them (they key on
-``op.op_id`` and ``result``).  Observers that need operand values must
-run against the live interpreter instead.
+:func:`_replay_plan` maps a trace's block ids to the program's blocks and
+their traced operations, rejecting a trace that belongs to a different
+program.  :class:`repro.batchsim.arrays.TraceArrays` validates every
+trace it decodes through it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
-
 from repro.ir.program import Program
-from repro.profiling.interpreter import (
-    ExecutionLimitExceeded,
-    ExecutionObserver,
-    ExecutionResult,
-)
 from repro.trace.format import (
     TRACED_OPCODES,
     TraceMismatch,
@@ -67,75 +52,3 @@ def _replay_plan(trace: ValueTrace, program: Program):
         )
         plan.append((block, traced_ops))
     return plan
-
-
-def replay_trace(
-    trace: ValueTrace,
-    program: Program,
-    observers: Optional[Sequence[ExecutionObserver]] = None,
-    max_operations: Optional[int] = None,
-) -> ExecutionResult:
-    """Drive ``observers`` from a captured trace; returns the captured run.
-
-    ``max_operations`` mirrors the interpreter's dynamic-op budget: a
-    trace longer than the budget raises :class:`ExecutionLimitExceeded`
-    just as live interpretation of the same program would.
-    """
-    if max_operations is not None and trace.dynamic_operations > max_operations:
-        raise ExecutionLimitExceeded(
-            f"{trace.program_name}: exceeded {max_operations} operations"
-        )
-    plan = _replay_plan(trace, program)
-    values = trace.values
-    n_values = len(values)
-    cursor = 0
-
-    if observers:
-        observer_list: List[ExecutionObserver] = list(observers)
-        if len(observer_list) == 1:
-            # The common case (one profiler pair is fused upstream, the
-            # simulation observer always rides alone): bind the two
-            # notification methods once.
-            only = observer_list[0]
-            block_entered = only.block_entered
-            operation_executed = only.operation_executed
-            for block_id in trace.block_seq:
-                block, traced_ops = plan[block_id]
-                block_entered(block)
-                for op in traced_ops:
-                    if cursor >= n_values:
-                        raise TraceMismatch(
-                            f"trace for {trace.program_name!r} ran out of "
-                            f"values at op {op.op_id} of block "
-                            f"{block.label!r}"
-                        )
-                    operation_executed(op, (), values[cursor])
-                    cursor += 1
-        else:
-            for block_id in trace.block_seq:
-                block, traced_ops = plan[block_id]
-                for observer in observer_list:
-                    observer.block_entered(block)
-                for op in traced_ops:
-                    if cursor >= n_values:
-                        raise TraceMismatch(
-                            f"trace for {trace.program_name!r} ran out of "
-                            f"values at op {op.op_id} of block "
-                            f"{block.label!r}"
-                        )
-                    value = values[cursor]
-                    cursor += 1
-                    for observer in observer_list:
-                        observer.operation_executed(op, (), value)
-    else:
-        # No observers: nothing consumes events, but still validate the
-        # stream length below by accounting every instance's values.
-        for block_id in trace.block_seq:
-            cursor += len(plan[block_id][1])
-
-    if cursor != n_values:
-        raise TraceMismatch(
-            f"trace for {trace.program_name!r} has {n_values} values but "
-            f"the block sequence consumes {cursor}"
-        )
-    return trace.to_execution_result()

@@ -1,136 +1,53 @@
-"""Escape hatches and degradation: REPRO_NO_BATCH, NumPy gating, and
-the batch_simulate runner stage's parity with scalar simulate jobs.
-
-The batched engine must never be load-bearing for correctness: with the
-environment hatch set, with NumPy reported broken, or on off-path
-points, every public entry point silently produces the scalar engine's
-byte-identical answer.
+"""Entry-point compatibility of the column engine: the path report every
+simulation still answers, NumPy staying out of CLI start-up, and the
+batch_simulate runner stage's parity with per-machine simulate jobs.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.batchsim import _compat
-from repro.batchsim.context import reset_shared_state
 from repro.batchsim.engine import unsupported_reason
-from repro.core.metrics import compile_program
-from repro.core.program_sim import simulate_program
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
-from repro.profiling.profile_run import profile_program
-from repro.trace import capture_trace
-from repro.workloads.suite import load_suite
-
-SUITE = load_suite(scale=0.25)
-
-
-@pytest.fixture
-def compiled():
-    program = SUITE["compress"]
-    profile = profile_program(program)
-    compilation = compile_program(program, PLAYDOH_4W, profile)
-    return compilation, capture_trace(program)
-
-
-@pytest.fixture
-def no_batch(monkeypatch):
-    """Force the scalar path the way a CI leg does."""
-    monkeypatch.setenv(_compat.NO_BATCH_ENV, "1")
-    _compat.refresh()
-    yield
-    # The autouse reset fixture re-reads the environment after
-    # monkeypatch restores it; refresh here keeps ordering irrelevant.
-    _compat.refresh()
-
-
-class TestEscapeHatch:
-    def test_env_disables_batching_and_sharing(self, no_batch):
-        assert _compat.scalar_forced()
-        assert not _compat.batch_enabled()
-        assert not _compat.sharing_enabled()
-        assert "REPRO_NO_BATCH" in unsupported_reason(trace=object())
-
-    def test_refresh_rereads_environment(self, monkeypatch):
-        monkeypatch.setenv(_compat.NO_BATCH_ENV, "1")
-        _compat.refresh()
-        assert _compat.scalar_forced()
-        monkeypatch.delenv(_compat.NO_BATCH_ENV)
-        # Cached until refreshed — sharing_enabled sits on hot paths.
-        assert _compat.scalar_forced()
-        _compat.refresh()
-        assert not _compat.scalar_forced()
-
-    def test_reset_shared_state_refreshes(self, monkeypatch):
-        monkeypatch.setenv(_compat.NO_BATCH_ENV, "1")
-        reset_shared_state()
-        assert _compat.scalar_forced()
-        monkeypatch.delenv(_compat.NO_BATCH_ENV)
-        reset_shared_state()
-        assert not _compat.scalar_forced()
-
-    def test_batch_true_falls_back_identically(self, compiled, no_batch):
-        compilation, trace = compiled
-        scalar = simulate_program(compilation, trace=trace)
-        forced = simulate_program(compilation, trace=trace, batch=True)
-        assert dataclasses.asdict(scalar) == dataclasses.asdict(forced)
-
-
-class TestNumpyGate:
-    def test_version_parses(self):
-        assert _compat._parse_version("1.24.3") == (1, 24, 3)
-        assert _compat._parse_version("2.0.0rc1") == (2, 0, 0)
-        assert _compat._parse_version("nonsense") == ()
-
-    def test_missing_numpy_reports_remediation(self, compiled, monkeypatch):
-        compilation, trace = compiled
-        message = (
-            "repro.batchsim needs NumPy but importing it failed: "
-            "No module named 'numpy'.  Install numpy>=1.24, or set "
-            "REPRO_NO_BATCH=1 to force the scalar simulation path."
-        )
-        monkeypatch.setattr(_compat, "_numpy", None)
-        monkeypatch.setattr(_compat, "_numpy_error", message)
-        monkeypatch.setattr(_compat, "_checked", True)
-        assert not _compat.have_numpy()
-        assert not _compat.batch_enabled()
-        assert _compat.numpy_error() == message
-        assert unsupported_reason(trace=trace) == message
-        with pytest.raises(ImportError, match="REPRO_NO_BATCH=1"):
-            _compat.require_numpy()
-        # simulate_program degrades to the scalar engine, not an error.
-        result = simulate_program(compilation, trace=trace, batch=True)
-        scalar = simulate_program(compilation, trace=trace)
-        assert dataclasses.asdict(result) == dataclasses.asdict(scalar)
-
-
-@pytest.fixture
-def batching_on(monkeypatch):
-    """Neutralise a CI leg's REPRO_NO_BATCH so the enabled-path
-    semantics are exercised on every leg."""
-    monkeypatch.delenv(_compat.NO_BATCH_ENV, raising=False)
-    _compat.refresh()
-    yield
-    _compat.refresh()
 
 
 class TestUnsupportedReasons:
-    def test_common_path_is_supported(self, batching_on):
+    def test_common_path_is_supported(self):
         assert unsupported_reason(trace=object()) is None
+        # Every feature has a column form, so nothing is unsupported.
+        assert unsupported_reason(
+            predictor=object(),
+            table=object(),
+            confidence=object(),
+            model_icache=True,
+        ) is None
 
-    def test_each_off_path_feature_is_named(self, batching_on):
-        assert "trace" in unsupported_reason(trace=None)
-        assert "predictor" in unsupported_reason(
-            trace=object(), predictor=object()
-        )
-        assert "table" in unsupported_reason(trace=object(), table=object())
-        assert "confidence" in unsupported_reason(
-            trace=object(), confidence=object()
-        )
-        assert "icache" in unsupported_reason(
-            trace=object(), model_icache=True
-        )
+
+@pytest.mark.parametrize(
+    "module", ["repro.evaluation.__main__", "repro.explore.cli"]
+)
+def test_cli_import_leaves_numpy_unloaded(module):
+    """The column engine imports NumPy lazily: CLI start-up (and so
+    ``--help`` and argument errors) does not pay for it."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    script = (
+        f"import sys, {module}\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PYTHONPATH": str(src)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestBatchSimulateJob:

@@ -1,9 +1,11 @@
-"""Batched profiler parity: column-wise counters vs streaming observers.
+"""Column-wise profiler vs a sequential replay through real predictors.
 
-``batch_profile`` promises the identical :class:`ProfileData` the
-scalar trace replay produces — same counters, same dict orders (both
-are pickled into runner cache keys downstream).  ``column_stats`` is
-additionally pinned against the real predictor objects it inlines.
+``batch_profile`` (the body of ``profile_program``) must produce the
+:class:`ProfileData` a sequential walk of the trace produces when the
+real stride and FCM predictor classes score every tracked value — same
+counters, same dict orders (both are pickled into runner cache keys
+downstream).  ``column_stats`` is additionally pinned against the real
+predictor objects it inlines.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from repro.batchsim.profiler import batch_profile, column_stats
 from repro.predict.base import _values_equal
 from repro.predict.fcm import FCMPredictor
 from repro.predict.stride import StridePredictor
-from repro.profiling.profile_run import profile_program
-from repro.trace import capture_trace
+from repro.profiling.value_profile import LONG_LATENCY_OPCODES, LoadValueStats
+from repro.trace import TRACED_OPCODES, capture_trace
 from repro.workloads.suite import load_suite
 
 SUITE = load_suite(scale=0.25)
@@ -29,9 +31,7 @@ TRACES = {name: capture_trace(program) for name, program in SUITE.items()}
 
 def scalar_column_stats(values):
     """Reference: one key driven through the real predictor objects,
-    exactly as ``ValueProfiler.operation_executed`` does."""
-    from repro.profiling.value_profile import LoadValueStats
-
+    scoring both predictions before updating either."""
     stride = StridePredictor()
     fcm = FCMPredictor(order=2)
     stats = LoadValueStats()
@@ -77,16 +77,41 @@ class TestColumnStats:
         assert stats.fcm_rate > stats.stride_rate
 
 
-def assert_profiles_identical(a, b):
-    assert a.blocks == b.blocks
-    assert list(a.values.loads.keys()) == list(b.values.loads.keys())
-    for op_id in a.values.loads:
-        assert dataclasses.asdict(a.values.loads[op_id]) == dataclasses.asdict(
-            b.values.loads[op_id]
+def assert_profile_matches(profile, blocks, stats):
+    assert list(profile.blocks.counts.items()) == list(blocks.items())
+    assert list(profile.values.loads) == list(stats)
+    for op_id, entry in stats.items():
+        assert dataclasses.asdict(profile.values.loads[op_id]) == (
+            dataclasses.asdict(entry)
         )
-    ea, eb = a.execution, b.execution
-    assert ea.dynamic_operations == eb.dynamic_operations
-    assert ea.dynamic_blocks == eb.dynamic_blocks
+
+
+def replay_profile(program, trace, profile_alu=False):
+    """Reference: walk the trace in execution order, counting block
+    entries and scoring every tracked op's value with one shared pair of
+    real predictors (the hardware-order event stream)."""
+    tracked = LONG_LATENCY_OPCODES if profile_alu else frozenset()
+    stride, fcm = StridePredictor(), FCMPredictor(order=2)
+    blocks, stats = {}, {}
+    values = iter(trace.values)
+    for block_id in trace.block_seq:
+        label = trace.labels[block_id]
+        blocks[label] = blocks.get(label, 0) + 1
+        for op in program.main.block(label).operations:
+            if op.opcode not in TRACED_OPCODES:
+                continue
+            value = next(values)
+            if not (op.is_load or op.opcode in tracked):
+                continue
+            entry = stats.setdefault(op.op_id, LoadValueStats())
+            entry.executions += 1
+            for predictor, field in ((stride, "stride_correct"), (fcm, "fcm_correct")):
+                p = predictor.predict(op.op_id)
+                if p is not None and _values_equal(p, value):
+                    setattr(entry, field, getattr(entry, field) + 1)
+            stride.update(op.op_id, value)
+            fcm.update(op.op_id, value)
+    return blocks, stats
 
 
 @pytest.mark.parametrize("workload", sorted(SUITE))
@@ -94,15 +119,15 @@ class TestBatchProfileParity:
     def test_matches_replay_profile(self, workload):
         program = SUITE[workload]
         trace = TRACES[workload]
-        scalar = profile_program(program, trace=trace)
+        blocks, stats = replay_profile(program, trace)
         batched = batch_profile(program, trace, BatchContext())
-        assert_profiles_identical(scalar, batched)
+        assert_profile_matches(batched, blocks, stats)
 
     def test_matches_replay_profile_with_alu(self, workload):
         program = SUITE[workload]
         trace = TRACES[workload]
-        scalar = profile_program(program, trace=trace, profile_alu=True)
+        blocks, stats = replay_profile(program, trace, profile_alu=True)
         batched = batch_profile(
             program, trace, BatchContext(), profile_alu=True
         )
-        assert_profiles_identical(scalar, batched)
+        assert_profile_matches(batched, blocks, stats)

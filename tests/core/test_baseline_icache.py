@@ -182,3 +182,38 @@ class TestCodeLayout:
         layout.fetch(polluted, "main")
         layout.fetch(polluted, "comp")
         assert layout.fetch(polluted, "main") == 2
+
+
+class TestProgramICache:
+    def test_gated_instances_charge_the_squash_machine(self):
+        """Confidence-gated instances still fetch through the icache, so
+        the squash machine (which fetches the proposed machine's block
+        stream) pays every fetch penalty the no-prediction machine does."""
+        from repro.core.metrics import compile_program
+        from repro.core.program_sim import simulate_program
+        from repro.machine.configs import PLAYDOH_4W
+        from repro.predict.confidence import ConfidenceEstimator
+        from repro.profiling.profile_run import profile_program
+        from repro.trace import capture_trace
+        from repro.workloads.suite import load_benchmark
+
+        program = load_benchmark("compress", scale=0.4)
+        compilation = compile_program(
+            program, PLAYDOH_4W, profile_program(program)
+        )
+        trace = capture_trace(program)
+        plain, cached = (
+            simulate_program(
+                compilation,
+                trace=trace,
+                confidence=ConfidenceEstimator(),
+                model_icache=model_icache,
+            )
+            for model_icache in (False, True)
+        )
+        assert cached.gated_instances > 0
+        penalty = cached.proposed_icache_cycles
+        assert penalty > 0
+        assert cached.cycles_nopred - plain.cycles_nopred == penalty
+        assert cached.cycles_proposed - plain.cycles_proposed == penalty
+        assert cached.cycles_squash - plain.cycles_squash == penalty

@@ -91,17 +91,12 @@ class TestRunnerFlags:
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", str(cache), "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        from repro.trace import replay_enabled
-
-        # build + profile + compile, plus the trace stage unless
-        # REPRO_NO_TRACE removed it from the graph.
-        expected = 4 if replay_enabled() else 3
-        assert stats["entries"] == expected
-        if replay_enabled():
-            assert stats["by_stage"].get("trace") == 1
-            assert stats["bytes_by_stage"].get("trace", 0) > 0
+        # build + trace + profile + compile.
+        assert stats["entries"] == 4
+        assert stats["by_stage"].get("trace") == 1
+        assert stats["bytes_by_stage"].get("trace", 0) > 0
         assert main(["cache", "clear", "--cache-dir", str(cache)]) == 0
-        assert f"removed {expected}" in capsys.readouterr().out
+        assert "removed 4" in capsys.readouterr().out
         assert main(["cache", "stats", "--cache-dir", str(cache), "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["entries"] == 0
 

@@ -3,7 +3,7 @@
 The specialized fast path must be observationally indistinguishable from
 the legacy per-op dispatch loop — same results, same observer event
 streams, same errors at the same dynamic operation.  The legacy loop is
-forced with ``REPRO_SLOW_INTERP=1``.
+called directly through ``Interpreter._run_legacy``.
 """
 
 import pytest
@@ -11,11 +11,7 @@ import pytest
 from repro.ir.builder import ProgramBuilder
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Operation, Reg
-from repro.profiling.interpreter import (
-    ExecutionLimitExceeded,
-    Interpreter,
-    SLOW_INTERP_ENV,
-)
+from repro.profiling.interpreter import ExecutionLimitExceeded, Interpreter
 from repro.workloads.suite import load_suite
 
 
@@ -33,15 +29,10 @@ class EventRecorder:
 
 
 def run_legacy(monkeypatch, program, observers=None, **kw):
-    monkeypatch.setenv(SLOW_INTERP_ENV, "1")
-    try:
-        return Interpreter(**kw).run(program, observers=observers)
-    finally:
-        monkeypatch.delenv(SLOW_INTERP_ENV)
+    return Interpreter(**kw)._run_legacy(program, observers or [])
 
 
 def run_fast(monkeypatch, program, observers=None, **kw):
-    monkeypatch.delenv(SLOW_INTERP_ENV, raising=False)
     return Interpreter(**kw).run(program, observers=observers)
 
 

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.ir.builder import ProgramBuilder
-from repro.profiling.block_profile import BlockFrequencyProfiler
 from repro.profiling.memory import Memory
 from repro.profiling.profile_run import profile_program
-from repro.profiling.value_profile import ValueProfiler
-from repro.profiling.interpreter import run_program
 
 
 class TestMemory:
@@ -41,9 +38,7 @@ class TestMemory:
 
 class TestBlockProfile:
     def test_counts_and_frequencies(self, loop_program):
-        profiler = BlockFrequencyProfiler()
-        run_program(loop_program, observers=[profiler])
-        profile = profiler.profile()
+        profile = profile_program(loop_program).blocks
         assert profile.count("loop") == 50
         assert profile.count("entry") == 1
         assert profile.count("missing") == 0
@@ -51,9 +46,7 @@ class TestBlockProfile:
         assert profile.frequency("loop") == pytest.approx(50 / 52)
 
     def test_hottest(self, loop_program):
-        profiler = BlockFrequencyProfiler()
-        run_program(loop_program, observers=[profiler])
-        hottest = profiler.profile().hottest(1)
+        hottest = profile_program(loop_program).blocks.hottest(1)
         assert hottest[0][0] == "loop"
 
 
@@ -81,9 +74,7 @@ class TestValueProfile:
 
     def test_rates_reflect_stream_character(self):
         program, _ = self.build_two_load_program()
-        profiler = ValueProfiler()
-        run_program(program, observers=[profiler])
-        profile = profiler.profile()
+        profile = profile_program(program).values
         loads = program.main.block("loop").loads()
         strided, repeating = loads[0], loads[1]
         assert profile.loads[strided.op_id].stride_rate > 0.8

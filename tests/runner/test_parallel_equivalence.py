@@ -107,11 +107,9 @@ class TestEvaluationRunnerDelegation:
             evaluation = Evaluation(SETTINGS, runner=runner)
             sim = evaluation.simulation("compress", evaluation.machine_4w)
             assert sim.cycles_proposed > 0
-            # Every ancestor stage executed exactly once (the trace
-            # stage joins the graph unless REPRO_NO_TRACE removed it).
-            from repro.trace import replay_enabled
-
-            assert runner.events.executed == (5 if replay_enabled() else 4)
+            # Every ancestor stage executed exactly once: build, trace,
+            # profile, compile, simulate.
+            assert runner.events.executed == 5
 
     def test_benchmark_filter_narrows_the_job_graph(self, tmp_path):
         settings = SETTINGS.with_benchmarks(["li", "swim"])

@@ -1,9 +1,8 @@
-"""The trace stage as a first-class runner job: keys, sharing, replay."""
+"""The trace stage as a first-class runner job: keys, sharing, reuse."""
 
 import dataclasses
 
-import pytest
-
+from repro.core.program_sim import simulate_program
 from repro.core.speculation import SpeculationConfig
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.machine.configs import PLAYDOH_4W, PLAYDOH_8W
@@ -17,15 +16,7 @@ from repro.runner import (
     simulate_spec,
     trace_spec,
 )
-from repro.trace import NO_TRACE_ENV, ValueTrace
-
-
-@pytest.fixture(autouse=True)
-def trace_stage_enabled(monkeypatch):
-    # The whole file is about the trace stage; pin the gate open so an
-    # ambient REPRO_NO_TRACE (the no-trace CI leg) can't remove it.
-    # test_no_trace_env_removes_the_stage re-sets it explicitly.
-    monkeypatch.delenv(NO_TRACE_ENV, raising=False)
+from repro.trace import ValueTrace
 
 
 class TestTraceSpec:
@@ -53,8 +44,7 @@ class TestTraceSpec:
         assert trace_spec("li", 0.5).key() != trace_spec("swim", 0.5).key()
         assert trace_spec("li", 0.5).key() != trace_spec("li", 1.0).key()
 
-    def test_profile_and_simulate_depend_on_trace(self, monkeypatch):
-        monkeypatch.delenv(NO_TRACE_ENV, raising=False)
+    def test_profile_and_simulate_depend_on_trace(self):
         for spec in (
             profile_spec("li", 0.5),
             simulate_spec("li", PLAYDOH_4W, scale=0.5),
@@ -62,20 +52,11 @@ class TestTraceSpec:
             stages = [dep.stage for dep in default_deps(spec)]
             assert "trace" in stages
 
-    def test_no_trace_env_removes_the_stage(self, monkeypatch):
-        monkeypatch.setenv(NO_TRACE_ENV, "1")
-        for spec in (
-            profile_spec("li", 0.5),
-            simulate_spec("li", PLAYDOH_4W, scale=0.5),
-        ):
-            stages = [dep.stage for dep in default_deps(spec)]
-            assert "trace" not in stages
-
 
 class TestTraceExecution:
     def test_sweep_executes_one_trace_job(self, tmp_path):
         """A two-machine, two-threshold sweep interprets each benchmark
-        once: 1 build + 1 trace, then replays everywhere downstream."""
+        once: 1 build + 1 trace, read by every stage downstream."""
         jobs = [
             simulate_job(
                 "compress", machine, scale=0.2,
@@ -99,16 +80,16 @@ class TestTraceExecution:
         assert trace.program_name == "compress"
         assert trace.dynamic_operations > 0
 
-    def test_runner_results_match_runnerless(self, tmp_path, monkeypatch):
-        """Simulation through the runner (trace-replayed, disk-cached)
-        equals direct live simulation with tracing disabled."""
+    def test_runner_results_match_runnerless(self, tmp_path):
+        """Simulation through the runner (trace job, disk-cached)
+        equals direct simulation that captures its own trace."""
         settings = EvaluationSettings(scale=0.2).with_benchmarks(["swim"])
         with Runner(jobs=1, cache=DiskCache(root=tmp_path / "cache")) as runner:
             via_runner = Evaluation(settings, runner=runner).simulation(
                 "swim", PLAYDOH_4W
             )
-        monkeypatch.setenv(NO_TRACE_ENV, "1")
-        direct = Evaluation(settings).simulation("swim", PLAYDOH_4W)
+        evaluation = Evaluation(settings)
+        direct = simulate_program(evaluation.compilation("swim", PLAYDOH_4W))
         assert dataclasses.asdict(via_runner) == dataclasses.asdict(direct)
 
     def test_trace_result_is_served_from_disk_cache(self, tmp_path):

@@ -1,9 +1,9 @@
-"""Capture/replay correctness: profiles, simulations and round trips.
+"""Capture correctness: profiles, simulations and round trips.
 
-The trace layer's contract is *byte identity*: replaying a captured
-trace through the profilers or the simulation observer must produce
-exactly what live interpretation produces — results, metrics snapshots,
-access counters and all.
+The trace layer's contract is *byte identity*: profiling or simulating
+from a given trace must produce exactly what a run that captures its
+own trace produces — results, metrics snapshots, access counters and
+all — and a trace that does not match its program is rejected.
 """
 
 import dataclasses
@@ -27,7 +27,6 @@ from repro.trace import (
     ValueTrace,
     capture_trace,
     program_digest,
-    replay_trace,
 )
 from repro.workloads.suite import load_suite
 
@@ -83,7 +82,7 @@ class TestSuiteReplay:
         """Satellite: a replayed run must report the captured run's
         load/store counts, not zero."""
         trace = TRACES[workload]
-        result = replay_trace(trace, SUITE[workload])
+        result = profile_program(SUITE[workload], trace=trace).execution
         assert result.loads_executed == trace.loads_executed
         assert result.stores_executed == trace.stores_executed
         assert result.loads_executed > 0
@@ -102,7 +101,7 @@ class TestSuiteReplay:
 class TestMismatchDetection:
     def test_wrong_program_is_rejected(self):
         with pytest.raises(TraceMismatch, match="different program"):
-            replay_trace(TRACES["compress"], SUITE["li"])
+            profile_program(SUITE["li"], trace=TRACES["compress"])
 
     def test_mutated_block_is_rejected(self):
         program = load_suite(scale=0.25)["compress"]
@@ -114,7 +113,7 @@ class TestMismatchDetection:
         b = program.main.block(labels[1])
         a.operations, b.operations = b.operations, a.operations
         with pytest.raises(TraceMismatch):
-            replay_trace(trace, program)
+            profile_program(program, trace=trace)
 
     def test_truncated_value_stream_is_rejected(self):
         trace = TRACES["compress"]
@@ -126,12 +125,12 @@ class TestMismatchDetection:
         trace = TRACES["compress"]
         broken = dataclasses.replace(trace, values=trace.values + [0])
         with pytest.raises(TraceMismatch):
-            replay_trace(broken, SUITE["compress"])
+            profile_program(SUITE["compress"], trace=broken)
 
     def test_limit_budget_is_enforced_on_replay(self):
         trace = TRACES["compress"]
         with pytest.raises(ExecutionLimitExceeded, match="compress: exceeded"):
-            replay_trace(trace, SUITE["compress"], max_operations=10)
+            profile_program(SUITE["compress"], trace=trace, max_operations=10)
 
 
 class TestFormat:

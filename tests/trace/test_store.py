@@ -1,27 +1,22 @@
-"""TraceStore caching semantics and the REPRO_NO_TRACE escape hatch."""
+"""TraceStore caching semantics and its use by runner-less evaluation."""
 
 import dataclasses
 
 import pytest
 
+from repro.core.program_sim import simulate_program
 from repro.evaluation.experiment import Evaluation, EvaluationSettings
 from repro.trace import (
-    NO_TRACE_ENV,
     TraceStore,
     capture_trace,
     default_store,
-    replay_enabled,
     reset_default_store,
 )
 from repro.workloads.suite import load_benchmark, load_suite
 
 
 @pytest.fixture(autouse=True)
-def fresh_default_store(monkeypatch):
-    # These tests exercise replay semantics; pin the gate open so an
-    # ambient REPRO_NO_TRACE (e.g. the no-trace CI leg) can't starve
-    # them.  TestEnvGate manages the variable explicitly per test.
-    monkeypatch.delenv(NO_TRACE_ENV, raising=False)
+def fresh_default_store():
     reset_default_store()
     yield
     reset_default_store()
@@ -80,30 +75,10 @@ class TestTraceStore:
         assert len(store) == 0
 
 
-class TestEnvGate:
-    def test_replay_enabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(NO_TRACE_ENV, raising=False)
-        assert replay_enabled()
-
-    def test_no_trace_disables_replay(self, monkeypatch):
-        monkeypatch.setenv(NO_TRACE_ENV, "1")
-        assert not replay_enabled()
-
-    def test_evaluation_skips_store_when_disabled(self, monkeypatch):
-        monkeypatch.setenv(NO_TRACE_ENV, "1")
-        store = TraceStore()
-        settings = EvaluationSettings(scale=0.2).with_benchmarks(["compress"])
-        evaluation = Evaluation(settings, trace_store=store)
-        evaluation.profile("compress")
-        evaluation.simulation("compress", evaluation.machine_4w)
-        assert store.captures == 0
-        assert len(store) == 0
-
-
 class TestEvaluationIntegration:
     def test_sweep_shares_one_interpretation(self):
         """Separate Evaluations at different thresholds against one
-        store capture once and replay thereafter."""
+        store capture once and reuse the trace thereafter."""
         store = TraceStore()
         results = []
         for threshold in (0.5, 0.8):
@@ -121,16 +96,13 @@ class TestEvaluationIntegration:
         # The sweep is real: different thresholds, comparable results.
         assert all(r.cycles_proposed > 0 for r in results)
 
-    def test_replay_results_equal_no_trace_results(self, monkeypatch):
+    def test_replay_results_equal_no_trace_results(self):
+        """The store's trace gives what a simulation capturing its own
+        trace gives."""
         settings = EvaluationSettings(scale=0.2).with_benchmarks(["li"])
-
-        monkeypatch.setenv(NO_TRACE_ENV, "1")
-        live = Evaluation(settings).simulation("li", Evaluation().machine_4w)
-
-        monkeypatch.delenv(NO_TRACE_ENV)
-        replayed = Evaluation(settings, trace_store=TraceStore()).simulation(
-            "li", Evaluation().machine_4w
-        )
+        evaluation = Evaluation(settings, trace_store=TraceStore())
+        replayed = evaluation.simulation("li", evaluation.machine_4w)
+        live = simulate_program(evaluation.compilation("li", evaluation.machine_4w))
         assert dataclasses.asdict(live) == dataclasses.asdict(replayed)
 
     def test_default_store_is_shared_process_wide(self):
