@@ -12,9 +12,9 @@ index — the layout every sweep point of the batch shares:
 * ``starts`` — ``(D,)`` int64, offset of each instance's first traced
   value in the flat value stream (``cumsum`` of per-instance sizes);
 * ``stream`` — ``(V,)`` object ndarray of traced values (values are
-  arbitrary Python ints/floats; object dtype keeps exact semantics —
-  correctness is decided by the *real* scalar predictor, NumPy only
-  does the gathers and histogramming);
+  arbitrary Python ints/floats; object dtype keeps them exact, and the
+  column kernels of :mod:`repro.predict.columns` move a column to int64
+  or float64 only where that is exact);
 * per label: the instance index vector (``np.nonzero``) and the static
   traced-op id tuple, so op *p* of label *L* reads its occurrence
   values as ``stream[starts[instances[L]] + pos(p)]``.

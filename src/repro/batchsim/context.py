@@ -24,12 +24,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.batchsim.arrays import TraceArrays
-from repro.batchsim.outcomes import (
-    OutcomeColumn,
-    build_predictor,
-    compute_column,
-    predictor_key,
-)
+from repro.batchsim.outcomes import OutcomeColumn, predictor_key
+from repro.machine.predictor import PredictorSpec
 
 
 class _LRU:
@@ -119,11 +115,9 @@ class BatchContext:
         entry = self._columns.get(key)
         if entry is not None and entry[0] is arrays:
             return entry[1]
-        column = compute_column(
-            op_id,
-            arrays.op_values(label, op_id),
-            lambda: build_predictor(machine),
-        )
+        spec = getattr(machine, "predictor", None) or PredictorSpec()
+        correct, predicted = spec.column(arrays.op_values(label, op_id))
+        column = OutcomeColumn(op_id, correct, predicted)
         self._columns.put(key, (arrays, column))
         return column
 

@@ -3,8 +3,8 @@
 Every dynamic simulation reduces, given a
 :class:`~repro.batchsim.context.BatchContext`, to
 
-1. one predictor outcome column per predicted static op (the real
-   predictor run down the op's value column);
+1. one predictor outcome column per predicted static op (the
+   predictor kind's column kernel over the op's value column);
 2. the run-time features as column operations on those columns — a
    finite prediction table masks them, confidence gating marks
    instances as gated;

@@ -1,19 +1,21 @@
 """Per-static-op predictor outcome columns.
 
 The simulated hardware predictor trains only on the ops a compilation
-predicts, and every shipped predictor (stride, FCM,
-DFCM, last-value, hybrid and its confidence scores) keeps strictly
-per-static-op state.  Consequence — the batching theorem this package
-rests on: the per-occurrence outcome column of a static op depends only
-on (a) the op's own value sequence in the trace and (b) the predictor
-spec.  It is *independent* of which other ops a sweep point predicts, so
-one column, computed once, is exact for every point in the batch.
+predicts, and every shipped predictor (stride, FCM, DFCM, last-value,
+hybrid and its confidence scores) keeps strictly per-static-op state.
+Consequence — the batching theorem this package rests on: the
+per-occurrence outcome column of a static op depends only on (a) the
+op's own value sequence in the trace and (b) the predictor spec.  It is
+*independent* of which other ops a sweep point predicts, so one column,
+computed once, is exact for every point in the batch.
 
-Columns are computed by feeding the op's (trace-extracted) value
-sequence through a **real** scalar predictor instance — predict, score,
-update, in hardware order — not a NumPy re-implementation,
-so there is no numeric-semantics drift to audit.  NumPy enters only
-downstream, where columns are packed into per-point pattern bitmasks.
+A machine's declared predictor gets its columns from the NumPy kernel
+of its kind (:meth:`repro.machine.predictor.PredictorSpec.column`, over
+:mod:`repro.predict.columns`), which is checked against the predictor
+classes on arbitrary value streams.  :func:`compute_column` feeds the
+values through a live predictor instance instead — predict, score,
+update, in hardware order — for callers that pass an explicit
+``predictor=`` object, whose class need not have a kernel.
 """
 
 from __future__ import annotations

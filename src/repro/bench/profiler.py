@@ -19,6 +19,7 @@ the coarse groups used in reports; frames outside ``repro`` count as
 from __future__ import annotations
 
 import cProfile
+import importlib
 import pstats
 from dataclasses import dataclass, field
 from typing import Any, Dict, List
@@ -43,7 +44,20 @@ SUBSYSTEM_OF: Dict[str, str] = {
     "machine": "core",
     "workloads": "workloads",
     "evaluation": "evaluation",
+    "batchsim": "core",
+    "explore": "explore",
+    "service": "runner",
+    "tools": "obs",
 }
+
+#: Modules the scenarios import lazily; :func:`profile_scenario` loads
+#: them before profiling, so import time is not billed to the scenario.
+WARM_IMPORTS = (
+    "numpy",
+    "repro.batchsim.context",
+    "repro.batchsim.engine",
+    "repro.batchsim.profiler",
+)
 
 
 def subsystem_of(filename: str) -> str:
@@ -137,6 +151,8 @@ def profile_scenario(
     if sort not in ("cumulative", "tottime"):
         raise ValueError("sort must be 'cumulative' or 'tottime'")
     (scenario,) = resolve_scenarios([name])
+    for module in WARM_IMPORTS:
+        importlib.import_module(module)
     state = scenario.prepare(ctx) if scenario.prepare is not None else None
 
     profile = cProfile.Profile()

@@ -4,7 +4,9 @@ A :class:`PredictorSpec` names the hardware value predictor a machine
 ships (paper Figure 5) plus its table geometry — as *data*, so a whole
 machine configuration (see :mod:`repro.machine.spec`) can be serialised,
 fingerprinted and swept.  :meth:`PredictorSpec.build` materialises the
-live :class:`repro.predict.base.ValuePredictor`; the default spec builds
+live :class:`repro.predict.base.ValuePredictor`, and
+:meth:`PredictorSpec.column` computes that predictor's outcome columns
+over one op's values with the kind's NumPy kernel; the default spec builds
 exactly the paper's profile configuration (stride + order-2 FCM behind a
 tournament chooser, unbounded table), so simulations that never mention
 a predictor spec behave identically to the historical default.
@@ -105,6 +107,25 @@ class PredictorSpec:
                 FCMPredictor(order=self.fcm_order, table_bits=self.table_bits),
             ],
             counter_max=self.counter_max,
+        )
+
+    def column(self, values):
+        """``(correct, predicted)`` bool columns of this predictor over
+        one op's value sequence — the outcomes :meth:`build`'s predictor
+        would produce on one key, computed by the kind's kernel in
+        :mod:`repro.predict.columns`."""
+        from repro.predict import columns
+
+        if self.kind == "stride":
+            return columns.stride_column(values)
+        if self.kind == "fcm":
+            return columns.fcm_column(values, self.fcm_order, self.table_bits)
+        if self.kind == "dfcm":
+            return columns.dfcm_column(values, self.fcm_order, self.table_bits)
+        if self.kind == "last-value":
+            return columns.last_value_column(values)
+        return columns.hybrid_column(
+            values, self.fcm_order, self.table_bits, self.counter_max
         )
 
     def __str__(self) -> str:

@@ -3,9 +3,10 @@
 The interpreter executes a program the way the paper's HP PA-RISC host
 executed the benchmarks during profiling: sequentially, with exact
 values.  Observers hook block entries and executed operations, which is
-how trace capture (:mod:`repro.trace.capture`) and workload
-characterisation attach to execution without duplicating the semantics;
-profiling and simulation then read the captured trace.
+how workload characterisation attaches to execution without duplicating
+the semantics.  Trace capture (:mod:`repro.trace.capture`) is fused
+into the run instead, through a :class:`ValueSink`; profiling and
+simulation then read the captured trace.
 
 Two execution paths produce byte-identical results:
 
@@ -14,7 +15,9 @@ Two execution paths produce byte-identical results:
   dispatch list of per-op closures: the opcode handler, operand readers
   and destination slot are resolved at compile time instead of being
   re-dispatched for every dynamic instance.  Observer-less runs
-  additionally skip building the per-op ``inputs`` tuples entirely.
+  additionally skip building the per-op ``inputs`` tuples entirely, and
+  a capture run decides per static block which ops are traced, so each
+  dynamic traced op costs one list append.
 * The **legacy loop** — the original per-dynamic-op dispatch,
   :meth:`Interpreter._run_legacy` — is the executable specification the
   fast path is checked against (``tests/profiling/test_fast_path.py``).
@@ -23,7 +26,7 @@ Two execution paths produce byte-identical results:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Protocol, Tuple, Union
 
 from repro.ir.block import BasicBlock
 from repro.ir.opcodes import Opcode, evaluator, is_alu
@@ -98,9 +101,10 @@ def _compile_body_op(op: Operation, strict: bool):
     """Compile one straight-line op into ``(step, obs_step)`` closures.
 
     ``step(regs, mem)`` performs the op's architectural effect with no
-    allocation; ``obs_step(regs, mem)`` does the same but also returns
-    ``(inputs, result)`` exactly as the legacy loop computed them, for
-    observer notification.
+    allocation and returns the op's result (``None`` for a store), which
+    is how a fused trace capture reads traced values; ``obs_step(regs,
+    mem)`` does the same but returns ``(inputs, result)`` exactly as the
+    legacy loop computed them, for observer notification.
     """
     opcode = op.opcode
     srcs = op.srcs
@@ -114,7 +118,8 @@ def _compile_body_op(op: Operation, strict: bool):
                 an, bn = a.name, b.name
 
                 def step(regs, mem, fn=fn, an=an, bn=bn, dest=dest):
-                    regs[dest] = fn(regs.get(an, 0), regs.get(bn, 0))
+                    regs[dest] = result = fn(regs.get(an, 0), regs.get(bn, 0))
+                    return result
 
                 def obs_step(regs, mem, fn=fn, an=an, bn=bn, dest=dest):
                     inputs = (regs.get(an, 0), regs.get(bn, 0))
@@ -127,7 +132,8 @@ def _compile_body_op(op: Operation, strict: bool):
                 an, bv = a.name, b.value
 
                 def step(regs, mem, fn=fn, an=an, bv=bv, dest=dest):
-                    regs[dest] = fn(regs.get(an, 0), bv)
+                    regs[dest] = result = fn(regs.get(an, 0), bv)
+                    return result
 
                 def obs_step(regs, mem, fn=fn, an=an, bv=bv, dest=dest):
                     inputs = (regs.get(an, 0), bv)
@@ -140,7 +146,8 @@ def _compile_body_op(op: Operation, strict: bool):
                 av, bn = a.value, b.name
 
                 def step(regs, mem, fn=fn, av=av, bn=bn, dest=dest):
-                    regs[dest] = fn(av, regs.get(bn, 0))
+                    regs[dest] = result = fn(av, regs.get(bn, 0))
+                    return result
 
                 def obs_step(regs, mem, fn=fn, av=av, bn=bn, dest=dest):
                     inputs = (av, regs.get(bn, 0))
@@ -153,7 +160,8 @@ def _compile_body_op(op: Operation, strict: bool):
             an = srcs[0].name
 
             def step(regs, mem, fn=fn, an=an, dest=dest):
-                regs[dest] = fn(regs.get(an, 0))
+                regs[dest] = result = fn(regs.get(an, 0))
+                return result
 
             def obs_step(regs, mem, fn=fn, an=an, dest=dest):
                 inputs = (regs.get(an, 0),)
@@ -165,7 +173,8 @@ def _compile_body_op(op: Operation, strict: bool):
         readers = tuple(_make_reader(s, strict) for s in srcs)
 
         def step(regs, mem, fn=fn, readers=readers, dest=dest):
-            regs[dest] = fn(*[read(regs) for read in readers])
+            regs[dest] = result = fn(*[read(regs) for read in readers])
+            return result
 
         def obs_step(regs, mem, fn=fn, readers=readers, dest=dest):
             inputs = tuple(read(regs) for read in readers)
@@ -183,7 +192,8 @@ def _compile_body_op(op: Operation, strict: bool):
             bn = base.name
 
             def step(regs, mem, bn=bn, offset=offset, dest=dest):
-                regs[dest] = mem.load(regs.get(bn, 0) + offset)
+                regs[dest] = result = mem.load(regs.get(bn, 0) + offset)
+                return result
 
             def obs_step(regs, mem, bn=bn, offset=offset, dest=dest):
                 address = regs.get(bn, 0)
@@ -195,7 +205,8 @@ def _compile_body_op(op: Operation, strict: bool):
         read_base = _make_reader(base, strict)
 
         def step(regs, mem, read_base=read_base, offset=offset, dest=dest):
-            regs[dest] = mem.load(read_base(regs) + offset)
+            regs[dest] = result = mem.load(read_base(regs) + offset)
+            return result
 
         def obs_step(regs, mem, read_base=read_base, offset=offset, dest=dest):
             address = read_base(regs)
@@ -257,8 +268,33 @@ def _compile_body_op(op: Operation, strict: bool):
     return step, obs_step
 
 
+class ValueSink:
+    """What a fused trace capture records from one run.
+
+    ``labels`` are block labels in first-execution order, ``block_seq``
+    the dynamic run as indices into them, and ``values`` the results of
+    every executed operation whose opcode is in ``traced_opcodes``, in
+    execution order (the :class:`~repro.trace.format.ValueTrace`
+    streams).
+    """
+
+    __slots__ = ("traced_opcodes", "labels", "block_seq", "values")
+
+    def __init__(self, traced_opcodes: FrozenSet[Opcode]):
+        self.traced_opcodes = traced_opcodes
+        self.labels: List[str] = []
+        self.block_seq: List[int] = []
+        self.values: List[Number] = []
+
+
 class _CompiledBlock:
-    """One basic block lowered to a dispatch list of per-op closures."""
+    """One basic block lowered to a dispatch list of per-op closures.
+
+    With a ``sink``, the block also gets its id in the sink's label
+    table and its body split at the traced ops: each entry of
+    ``segments`` is ``(untraced steps, traced step)``, and ``tail`` holds
+    the untraced steps after the last traced op.
+    """
 
     __slots__ = (
         "block",
@@ -266,13 +302,18 @@ class _CompiledBlock:
         "n_ops",
         "steps",
         "obs_steps",
+        "block_id",
+        "segments",
+        "tail",
         "term_kind",
         "term_op",
         "term_cond",
         "term_targets",
     )
 
-    def __init__(self, block: BasicBlock, strict: bool):
+    def __init__(
+        self, block: BasicBlock, strict: bool, sink: Optional[ValueSink] = None
+    ):
         ops = block.operations
         term_op = ops[-1] if ops and ops[-1].is_branch else None
         body = ops[:-1] if term_op is not None else list(ops)
@@ -285,6 +326,21 @@ class _CompiledBlock:
             step, obs_step = _compile_body_op(op, strict)
             self.steps.append(step)
             self.obs_steps.append((op, obs_step))
+        self.block_id = -1
+        self.segments: Tuple[Tuple[tuple, object], ...] = ()
+        self.tail: tuple = ()
+        if sink is not None:
+            self.block_id = len(sink.labels)
+            sink.labels.append(block.label)
+            segments, run = [], []
+            for op, step in zip(body, self.steps):
+                if op.opcode in sink.traced_opcodes:
+                    segments.append((tuple(run), step))
+                    run = []
+                else:
+                    run.append(step)
+            self.segments = tuple(segments)
+            self.tail = tuple(run)
         self.term_op = term_op
         self.term_cond = None
         self.term_targets: Tuple[str, ...] = ()
@@ -333,14 +389,26 @@ class Interpreter:
     # -- specialized fast path ----------------------------------------------
 
     def _run_fast(
-        self, program: Program, observers: List[ExecutionObserver]
+        self,
+        program: Program,
+        observers: List[ExecutionObserver],
+        sink: Optional[ValueSink] = None,
     ) -> ExecutionResult:
+        """Run on per-block dispatch lists.
+
+        ``sink`` fuses trace capture into an observer-less run: each
+        block entry appends its id, and each traced op appends its
+        result, with no per-op observer call and no per-op opcode test.
+        """
         function = program.main
         memory = Memory(program.initial_memory)
         registers: Dict[str, Number] = dict(program.initial_registers)
         strict = self.strict_registers
         max_operations = self.max_operations
         compiled: Dict[str, _CompiledBlock] = {}
+        if sink is not None:
+            record_block = sink.block_seq.append
+            record_value = sink.values.append
 
         executed = 0
         blocks = 0
@@ -351,20 +419,23 @@ class Interpreter:
             cb = compiled.get(label)
             if cb is None:
                 cb = compiled[label] = _CompiledBlock(
-                    function.block(label), strict
+                    function.block(label), strict, sink
                 )
             blocks += 1
             if observers:
                 block = cb.block
                 for observer in observers:
                     observer.block_entered(block)
+            elif sink is not None:
+                record_block(cb.block_id)
 
             next_label: Optional[str] = None
             if executed + cb.n_ops > max_operations:
-                # The budget may run out inside this block: step op by
-                # op so the limit error raises at exactly the same
+                # The budget runs out inside this block: step op by op
+                # so the limit error raises at exactly the same
                 # operation — after the same observer notifications — as
-                # the legacy loop.
+                # the legacy loop.  The run ends here, so a sink needs
+                # no values from this block.
                 for op, obs_step in cb.obs_steps:
                     executed += 1
                     if executed > max_operations:
@@ -396,6 +467,13 @@ class Interpreter:
                         inputs, result = obs_step(registers, memory)
                         for observer in observers:
                             observer.operation_executed(op, inputs, result)
+                elif sink is not None:
+                    for untraced, traced in cb.segments:
+                        for step in untraced:
+                            step(registers, memory)
+                        record_value(traced(registers, memory))
+                    for step in cb.tail:
+                        step(registers, memory)
                 else:
                     for step in cb.steps:
                         step(registers, memory)

@@ -8,7 +8,7 @@ ablation) reads that trace's columns instead of re-interpreting the
 program.
 """
 
-from repro.trace.capture import TraceCaptureObserver, capture_trace
+from repro.trace.capture import capture_trace
 from repro.trace.format import (
     TRACE_SCHEMA_VERSION,
     TRACED_OPCODES,
@@ -23,7 +23,6 @@ from repro.trace.store import TraceStore, default_store, reset_default_store
 __all__ = [
     "TRACED_OPCODES",
     "TRACE_SCHEMA_VERSION",
-    "TraceCaptureObserver",
     "TraceError",
     "TraceMismatch",
     "TraceStore",

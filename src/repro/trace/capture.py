@@ -2,13 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Dict, List
-
-from repro.ir.block import BasicBlock
-from repro.ir.operation import Operation
 from repro.ir.program import Program
-from repro.profiling.interpreter import Interpreter
-from repro.profiling.memory import Number
+from repro.profiling.interpreter import Interpreter, ValueSink
 from repro.trace.format import (
     TRACED_OPCODES,
     ValueTrace,
@@ -17,52 +12,32 @@ from repro.trace.format import (
 )
 
 
-class TraceCaptureObserver:
-    """Execution observer recording the block sequence and traced values.
-
-    Rides along any architectural run; the interpreter's fast path keeps
-    capture cheap because the per-op tuple building it implies is paid
-    once, not once per downstream consumer.
-    """
-
-    def __init__(self) -> None:
-        self.labels: List[str] = []
-        self._label_ids: Dict[str, int] = {}
-        self.block_seq: List[int] = []
-        self.values: List[Number] = []
-
-    def block_entered(self, block: BasicBlock) -> None:
-        label = block.label
-        block_id = self._label_ids.get(label)
-        if block_id is None:
-            block_id = self._label_ids[label] = len(self.labels)
-            self.labels.append(label)
-        self.block_seq.append(block_id)
-
-    def operation_executed(self, op: Operation, inputs, result) -> None:
-        if op.opcode in TRACED_OPCODES:
-            self.values.append(result)
-
-
 def capture_trace(
     program: Program, max_operations: int = 5_000_000
 ) -> ValueTrace:
-    """Interpret ``program`` once and package the run as a trace."""
-    observer = TraceCaptureObserver()
-    result = Interpreter(max_operations=max_operations).run(
-        program, observers=[observer]
+    """Interpret ``program`` once and package the run as a trace.
+
+    Capture is fused into the interpreter's fast path: a
+    :class:`~repro.profiling.interpreter.ValueSink` receives the block
+    ids and traced results directly.  Raises
+    :class:`~repro.profiling.interpreter.ExecutionLimitExceeded` past
+    ``max_operations``.
+    """
+    sink = ValueSink(TRACED_OPCODES)
+    result = Interpreter(max_operations=max_operations)._run_fast(
+        program, [], sink
     )
     function = program.main
     signatures = tuple(
-        block_signature(function.block(label)) for label in observer.labels
+        block_signature(function.block(label)) for label in sink.labels
     )
     return ValueTrace(
         program_name=program.name,
         program_digest=program_digest(program),
-        labels=tuple(observer.labels),
+        labels=tuple(sink.labels),
         block_signatures=signatures,
-        block_seq=observer.block_seq,
-        values=observer.values,
+        block_seq=sink.block_seq,
+        values=sink.values,
         dynamic_operations=result.dynamic_operations,
         dynamic_blocks=result.dynamic_blocks,
         loads_executed=result.loads_executed,

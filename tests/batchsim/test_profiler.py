@@ -4,8 +4,8 @@
 :class:`ProfileData` a sequential walk of the trace produces when the
 real stride and FCM predictor classes score every tracked value — same
 counters, same dict orders (both are pickled into runner cache keys
-downstream).  ``column_stats`` is additionally pinned against the real
-predictor objects it inlines.
+downstream).  The stride and FCM kernels the profile sums are
+additionally pinned against the real predictor objects they stand for.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.batchsim.context import BatchContext
-from repro.batchsim.profiler import batch_profile, column_stats
+from repro.batchsim.profiler import _load_stats, batch_profile
 from repro.predict.base import _values_equal
 from repro.predict.fcm import FCMPredictor
 from repro.predict.stride import StridePredictor
@@ -61,19 +61,19 @@ class TestColumnStats:
         )
     )
     def test_matches_real_predictors(self, values):
-        got = column_stats(values)
+        got = _load_stats(values)
         want = scalar_column_stats(values)
         assert dataclasses.asdict(got) == dataclasses.asdict(want)
 
     def test_strided_sequence_saturates(self):
-        stats = column_stats(list(range(0, 100, 3)))
+        stats = _load_stats(list(range(0, 100, 3)))
         # Two-delta stride locks on after the second delta; the first
         # two predictions cannot be scored as hits.
         assert stats.stride_correct >= stats.executions - 3
         assert stats.best_rate > 0.9
 
     def test_periodic_sequence_favours_fcm(self):
-        stats = column_stats([1, 7, 3, 1, 7, 3] * 20)
+        stats = _load_stats([1, 7, 3, 1, 7, 3] * 20)
         assert stats.fcm_rate > stats.stride_rate
 
 

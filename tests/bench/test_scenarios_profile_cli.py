@@ -6,12 +6,22 @@ pipeline is what makes the counter assertions exact.
 """
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
+
 from repro.bench.cli import main as bench_main
 from repro.bench.harness import BenchConfig, run_bench
-from repro.bench.profiler import profile_scenario, render_profile, subsystem_of
+from repro.bench.profiler import (
+    SUBSYSTEM_OF,
+    profile_scenario,
+    render_profile,
+    subsystem_of,
+)
 from repro.bench.scenarios import (
     SCENARIOS,
     BenchContext,
@@ -94,6 +104,46 @@ class TestProfiler:
         assert subsystem_of("/x/src/repro/opt/passes.py") == "compiler"
         assert subsystem_of("/x/src/repro/runner/jobs.py") == "runner"
         assert subsystem_of("/usr/lib/python3.11/json/decoder.py") == "other"
+
+    def test_every_package_maps_to_a_subsystem(self):
+        root = Path(repro.__file__).parent
+        packages = sorted(
+            p.name for p in root.iterdir() if (p / "__init__.py").is_file()
+        )
+        assert packages
+        unmapped = [
+            name
+            for name in packages
+            if subsystem_of(str(root / name / "module.py")) == "other"
+        ]
+        assert unmapped == [], f"add {unmapped} to SUBSYSTEM_OF"
+        assert "other" not in SUBSYSTEM_OF.values()
+
+    def test_profiled_rows_import_no_module(self):
+        """In a fresh process, NumPy and the batched engine are imported
+        before profiling starts, so no import is billed to the scenario.
+        ``_handle_fromlist`` runs for every function-level ``from
+        package import name`` and loads nothing once the module is
+        imported, so it is the one import frame allowed."""
+        script = (
+            "from repro.bench.profiler import profile_scenario\n"
+            "from repro.bench.scenarios import BenchContext\n"
+            "ctx = BenchContext(workload_scale=0.25, benchmarks=('compress',))\n"
+            "report = profile_scenario('table2', ctx, top=100000)\n"
+            "rows = [(r.file, r.function) for r in report.hot\n"
+            "        if 'importlib' in r.file and r.function != '_handle_fromlist']\n"
+            "print(rows)\n"
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": str(src)},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_profile_names_top10_hot_functions_for_table2(self):
         report = profile_scenario("table2", CTX, top=10)
