@@ -12,8 +12,15 @@ entries.
 (``~/.cache/repro`` by default, overridable with ``--cache-dir`` or
 ``$REPRO_CACHE_DIR``)::
 
-    <root>/v1/<key[:2]>/<key>.pkl     pickled stage result
-    <root>/v1/<key[:2]>/<key>.json    sidecar manifest (human-inspectable)
+    <root>/v2/<key[:2]>/<key>.pkl     pickled stage result
+    <root>/v2/<key[:2]>/<key>.json    sidecar manifest (human-inspectable)
+
+A payload holds only what its job added.  Any object it shares with
+one of its dependency results — a compile result's program and
+profile — is written as a *reference* to that dependency
+(:class:`DependencyRefs`), and decodes to the reader's own decoded
+dependency object, so every job of a sweep sees the one program of its
+benchmark.  Payloads that reference nothing are plain pickles.
 
 The shared backends — :class:`repro.service.backends.SQLiteCache` (one
 WAL-mode file, safe for concurrent workers) and
@@ -29,17 +36,21 @@ unreadable or truncated entry is treated as a miss and evicted.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import pickle
 import tempfile
+import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Optional, Sequence, Tuple
 
 #: Bump when the on-disk layout (not the result semantics) changes.
-FORMAT_VERSION = 1
+#: v2: payloads reference the objects they share with dependency results.
+FORMAT_VERSION = 2
 
 #: Exceptions that mean "this payload does not decode to a value".
 #: Anything else propagating from ``pickle.loads`` is a real bug.
@@ -52,6 +63,132 @@ DECODE_ERRORS = (
     ValueError,
     TypeError,
 )
+
+
+# -- dependency references ---------------------------------------------------
+
+
+def _dependency_ref(token: Any) -> Any:
+    """Stand-in for an object a payload shares with a dependency result.
+
+    Only :func:`decode_payload`, given the job's :class:`DependencyRefs`,
+    resolves it; a plain ``pickle.loads`` of such a payload fails here
+    instead of yielding a result detached from its inputs.
+    """
+    raise pickle.UnpicklingError(
+        f"payload references dependency result {token!r}; decode it "
+        "against its dependency results"
+    )
+
+
+class DependencyTable:
+    """The shareable objects of one decoded dependency result.
+
+    ``objects`` come from :func:`repro.runner.jobs.shared_objects`, in a
+    fixed order; the token of ``objects[i]`` is ``(key, i)``.  Build one
+    table per decoded result and reuse it for every job that depends on
+    it.
+    """
+
+    __slots__ = ("key", "objects", "_tokens")
+
+    def __init__(self, key: str, objects: Sequence[Any]):
+        self.key = key
+        self.objects = objects
+        self._tokens: Optional[Dict[int, Tuple[str, int]]] = None
+
+    @property
+    def tokens(self) -> Dict[int, Tuple[str, int]]:
+        """``id(object) -> token``; the objects pin their ids."""
+        if self._tokens is None:
+            key = self.key
+            self._tokens = {
+                id(obj): (key, index) for index, obj in enumerate(self.objects)
+            }
+        return self._tokens
+
+
+class DependencyRefs:
+    """The reference table of one job: its dependencies' tables.
+
+    Tokens name the dependency's key, so a payload resolves only against
+    the inputs it was written for.  Dependencies are taken in key order;
+    an object reachable from two of them takes the first one's token.
+    """
+
+    def __init__(self, tables: Iterable[DependencyTable]):
+        self._tables = {
+            table.key: table
+            for table in sorted(tables, key=lambda table: table.key)
+        }
+        self._tokens: Optional[Dict[int, Tuple[str, int]]] = None
+
+    def __bool__(self) -> bool:
+        return bool(self._tables)
+
+    @property
+    def tokens(self) -> Dict[int, Tuple[str, int]]:
+        if self._tokens is None:
+            tokens: Dict[int, Tuple[str, int]] = {}
+            for table in reversed(self._tables.values()):
+                tokens.update(table.tokens)
+            self._tokens = tokens
+        return self._tokens
+
+    def resolve(self, token: Any) -> Any:
+        try:
+            key, index = token
+            return self._tables[key].objects[index]
+        except (KeyError, IndexError, TypeError, ValueError):
+            raise pickle.UnpicklingError(
+                f"unresolved dependency reference {token!r}"
+            ) from None
+
+
+class _RefPickler(pickle.Pickler):
+    # Pickle offers only class instances, classes and functions to
+    # ``reducer_override`` — never ints, floats, strs, bytes or the
+    # built-in containers — so long value streams pickle at full speed,
+    # and only class instances can become references.
+    def __init__(self, file: io.BytesIO, tokens: Dict[int, Tuple[str, int]]):
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self._tokens = tokens
+
+    def reducer_override(self, obj: Any) -> Any:
+        token = self._tokens.get(id(obj))
+        if token is None:
+            return NotImplemented
+        return _dependency_ref, (token,)
+
+
+class _RefUnpickler(pickle.Unpickler):
+    def __init__(self, file: io.BytesIO, refs: DependencyRefs):
+        super().__init__(file)
+        self._refs = refs
+
+    def find_class(self, module: str, name: str) -> Any:
+        if module == __name__ and name == _dependency_ref.__name__:
+            return self._refs.resolve
+        return super().find_class(module, name)
+
+
+def encode_payload(value: Any, refs: Optional[DependencyRefs] = None) -> bytes:
+    """Pickle ``value``, writing objects shared with ``refs`` as references.
+
+    A value that references nothing encodes to the plain pickle.
+    """
+    if not refs:
+        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    buffer = io.BytesIO()
+    _RefPickler(buffer, refs.tokens).dump(value)
+    return buffer.getvalue()
+
+
+def decode_payload(payload: bytes, refs: Optional[DependencyRefs] = None) -> Any:
+    """Unpickle ``payload``, resolving its references against ``refs``."""
+    if not refs:
+        return pickle.loads(payload)
+    return _RefUnpickler(io.BytesIO(payload), refs).load()
 
 
 def default_cache_dir() -> Path:
@@ -133,16 +270,32 @@ class CacheBackend:
         # encoded into this backend by this process.
         self.bytes_read = 0
         self.bytes_written = 0
+        # The dependency results the codec references, per thread
+        # (shared backends serve several worker threads at once).
+        self._scope = threading.local()
 
     # -- value codec ---------------------------------------------------------
 
-    @staticmethod
-    def encode(value: Any) -> bytes:
-        return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    @contextmanager
+    def referencing(self, refs: Optional[DependencyRefs]) -> Iterator[None]:
+        """Encode and decode against ``refs`` inside the block.
 
-    @staticmethod
-    def decode(payload: bytes) -> Any:
-        return pickle.loads(payload)
+        The runner scopes each job's dependency table around ``get``,
+        ``encode`` and ``decode``, so the :meth:`encode` / :meth:`decode`
+        extension points keep their one-argument signatures.
+        """
+        previous = getattr(self._scope, "refs", None)
+        self._scope.refs = refs
+        try:
+            yield
+        finally:
+            self._scope.refs = previous
+
+    def encode(self, value: Any) -> bytes:
+        return encode_payload(value, getattr(self._scope, "refs", None))
+
+    def decode(self, payload: bytes) -> Any:
+        return decode_payload(payload, getattr(self._scope, "refs", None))
 
     # -- operations ----------------------------------------------------------
 
@@ -169,18 +322,19 @@ class CacheBackend:
     def put(
         self, key: str, value: Any, manifest: Optional[Dict[str, Any]] = None
     ) -> Optional[bytes]:
-        """Store ``value``; return the encoded payload (``None`` if disabled).
-
-        Returning the payload lets the executor memoize the *decoded
-        round trip* of a fresh result, so downstream stages consume
-        exactly what a cache hit would hand them — which is what makes
-        artifact bytes identical across serial, pooled, and remote
-        execution (a stage fed live objects pickles with different
-        internal sharing than one fed separately-unpickled inputs).
-        """
+        """Encode and store ``value``; return the payload (``None`` if disabled)."""
         if not self.enabled:
             return None
         payload = self.encode(value)
+        self.put_payload(key, payload, manifest)
+        return payload
+
+    def put_payload(
+        self, key: str, payload: bytes, manifest: Optional[Dict[str, Any]] = None
+    ) -> None:
+        """Store an encoded payload (a no-op if disabled)."""
+        if not self.enabled:
+            return
         self.bytes_written += len(payload)
         meta = {
             "key": key,
@@ -190,7 +344,6 @@ class CacheBackend:
             **(manifest or {}),
         }
         self.store_bytes(key, payload, meta)
-        return payload
 
     def has(self, key: str) -> bool:
         """Whether an entry exists, without decoding it."""

@@ -17,6 +17,13 @@ and executes wave by wave:
    to in-process serial execution instead of failing it — results are
    identical either way, only slower.
 
+Every result completes the same way: it is encoded where the job ran
+(in the worker for ``--jobs N``, in-process for ``--jobs 1``) against
+the dependency results it ran on, so objects it shares with them are
+written as references (:mod:`repro.runner.cache`).  The runner stores
+those bytes and keeps their decode, resolved against its own dependency
+results — exactly what a cache hit yields.
+
 Determinism contract: stage bodies are pure functions of their spec and
 dependency results, so ``--jobs 1``, ``--jobs N`` and a warm-cache rerun
 produce byte-identical results.
@@ -31,10 +38,15 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-from repro.runner.cache import CacheBackend, DECODE_ERRORS, DiskCache
+from repro.runner.cache import (
+    CacheBackend,
+    DependencyRefs,
+    DependencyTable,
+    DiskCache,
+)
 from repro.runner.events import EventLog
 from repro.runner.graph import JobGraph
-from repro.runner.jobs import Job, execute_spec
+from repro.runner.jobs import Job, dependency_refs, execute_encoded, execute_spec
 from repro.runner.retry import RetryPolicy
 
 
@@ -103,6 +115,7 @@ class Runner:
         self._pool: Optional[Any] = None
         self._serial_fallback = False
         self._results: Dict[str, Any] = {}
+        self._tables: Dict[str, DependencyTable] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -150,7 +163,8 @@ class Runner:
             if key in self._results:
                 self._finish(job, cached=True, wall_time=0.0, attempt=0)
                 continue
-            hit, value = self.cache.get(key)
+            with self.cache.referencing(self._refs(job)):
+                hit, value = self.cache.get(key)
             if hit:
                 self._results[key] = value
                 self.events.emit(
@@ -173,12 +187,18 @@ class Runner:
     def _dep_results(self, job: Job) -> Dict[str, Any]:
         return {dep.key(): self._results[dep.key()] for dep in job.deps}
 
-    def _complete(self, job: Job, value: Any, wall_time: float, attempt: int) -> None:
+    def _refs(self, job: Job) -> DependencyRefs:
+        """The job's reference table, over this runner's decoded results."""
+        return dependency_refs(self._dep_results(job), self._tables)
+
+    def _complete(
+        self, job: Job, payload: bytes, wall_time: float, attempt: int
+    ) -> None:
         key = job.key()
         spec = job.spec
-        payload = self.cache.put(
+        self.cache.put_payload(
             key,
-            value,
+            payload,
             manifest={
                 "job": job.job_id,
                 "stage": spec.stage,
@@ -188,16 +208,12 @@ class Runner:
                 "wall_time": round(wall_time, 6),
             },
         )
-        if payload is not None:
-            # Memoize the decoded round trip, not the live object:
-            # downstream stages then see the same input a cache hit (or
-            # a pool/service hand-off) would give them, and the bytes
-            # they produce stop depending on the execution mode.
-            try:
-                value = self.cache.decode(payload)
-            except DECODE_ERRORS:
-                pass  # undecodable edge: keep the live value in memory
-        self._results[key] = value
+        # Memoize the decoded round trip, not the live object:
+        # downstream stages then see the input a cache hit would give
+        # them, its shared objects resolved to this runner's own
+        # dependency results.
+        with self.cache.referencing(self._refs(job)):
+            self._results[key] = self.cache.decode(payload)
         self._finish(job, cached=False, wall_time=wall_time, attempt=attempt)
 
     def _finish(self, job: Job, cached: bool, wall_time: float, attempt: int) -> None:
@@ -227,11 +243,13 @@ class Runner:
             t0 = time.monotonic()
             try:
                 value = execute_spec(job.spec, self._dep_results(job))
+                with self.cache.referencing(self._refs(job)):
+                    payload = self.cache.encode(value)
             except Exception as exc:
                 if not self._retry_or_fail(job, attempt, exc):
                     raise JobError(job, attempt, exc) from exc
                 continue
-            self._complete(job, value, time.monotonic() - t0, attempt)
+            self._complete(job, payload, time.monotonic() - t0, attempt)
             return
 
     # -- pooled path --------------------------------------------------------
@@ -295,7 +313,9 @@ class Runner:
                     key=job.key(),
                     attempt=attempts[job.key()],
                 )
-                future = pool.submit(execute_spec, job.spec, self._dep_results(job))
+                future = pool.submit(
+                    execute_encoded, job.spec, self._dep_results(job)
+                )
                 submitted.append((job, future, time.monotonic()))
             queue = []
             pool_lost = False
@@ -305,7 +325,7 @@ class Runner:
                     queue.append(job)
                     continue
                 try:
-                    value = future.result(timeout=self.timeout)
+                    payload = future.result(timeout=self.timeout)
                 except concurrent.futures.CancelledError:
                     queue.append(job)
                     continue
@@ -339,7 +359,7 @@ class Runner:
                         raise JobError(job, attempt, exc) from exc
                     queue.append(job)
                     continue
-                self._complete(job, value, time.monotonic() - t0, attempt)
+                self._complete(job, payload, time.monotonic() - t0, attempt)
 
     # -- retry policy -------------------------------------------------------
 

@@ -63,6 +63,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 from repro.compiler.config import PipelineConfig, canonical_value as _canonical
 from repro.core.speculation import SpeculationConfig
 from repro.machine.description import MachineDescription
+from repro.runner.cache import DependencyRefs, DependencyTable, encode_payload
 
 #: Bump whenever a pipeline stage's semantics change in a way that makes
 #: previously cached results wrong.  Part of every job key.
@@ -94,6 +95,10 @@ def _normalise_pipeline(
         frontend = pipeline.frontend()
         return frontend if frontend.program_passes else None
     return None if pipeline.is_standard() else pipeline
+
+
+#: Instance-dict slot of :meth:`JobSpec._memoized`.
+_MEMOS = "_memos"
 
 
 @dataclass(frozen=True)
@@ -132,8 +137,11 @@ class JobSpec:
         distinct machine axis (width, FU mix, latencies, buffer
         geometry, predictor, ...) keys distinctly, and a machine loaded
         from a spec file keys identically to the equivalent registry
-        constant.
+        constant.  Computed once per instance and :data:`CODE_VERSION`.
         """
+        return self._memoized("key", self._content_key)
+
+    def _content_key(self) -> str:
         payload = json.dumps(
             {
                 "code_version": CODE_VERSION,
@@ -155,6 +163,25 @@ class JobSpec:
             separators=(",", ":"),
         )
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def _memoized(self, name: str, compute: Callable[[], Any]) -> Any:
+        """``compute()``, once per instance and :data:`CODE_VERSION`.
+
+        The memo lives in the instance dict, outside the dataclass
+        fields, so ``==``, ``hash`` and ``repr`` never see it, and
+        :meth:`__getstate__` keeps it out of pickles.
+        """
+        version, memos = self.__dict__.get(_MEMOS, (None, None))
+        if version != CODE_VERSION:
+            memos = {}
+            self.__dict__[_MEMOS] = (CODE_VERSION, memos)
+        value = memos.get(name)
+        if value is None:
+            value = memos[name] = compute()
+        return value
+
+    def __getstate__(self) -> Dict[str, Any]:
+        return {k: v for k, v in self.__dict__.items() if k != _MEMOS}
 
     @property
     def job_id(self) -> str:
@@ -227,8 +254,32 @@ def stage_function(name: str) -> StageFn:
 
 
 def execute_spec(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
-    """Run one job body.  This is the function worker processes execute."""
+    """Run one job body."""
     return stage_function(spec.stage)(spec, dep_results)
+
+
+def execute_encoded(spec: JobSpec, dep_results: Dict[str, Any]) -> bytes:
+    """Run one job body and encode its result against its inputs.
+
+    This is the function worker processes execute: the result is
+    encoded where it ran, so objects it shares with ``dep_results``
+    travel back as references, not copies.
+    """
+    return encode_payload(
+        execute_spec(spec, dep_results), dependency_refs(dep_results)
+    )
+
+
+def _natural_deps(spec: JobSpec) -> Tuple[JobSpec, ...]:
+    """:func:`default_deps` of ``spec``, built once per instance."""
+    return spec._memoized("deps", lambda: default_deps(spec))
+
+
+def _dep_keys(spec: JobSpec) -> Dict[str, str]:
+    """Stage -> key of each of ``spec``'s :func:`default_deps`."""
+    return spec._memoized(
+        "dep_keys", lambda: {dep.stage: dep.key() for dep in _natural_deps(spec)}
+    )
 
 
 def dep_result(spec: JobSpec, dep_results: Dict[str, Any], stage: str) -> Any:
@@ -238,10 +289,10 @@ def dep_result(spec: JobSpec, dep_results: Dict[str, Any], stage: str) -> Any:
     re-derived from :func:`default_deps`, which is the same closure the
     graph materialises, so lookup is exact.
     """
-    for dep in default_deps(spec):
-        if dep.stage == stage and dep.key() in dep_results:
-            return dep_results[dep.key()]
-    raise RuntimeError(f"{spec.job_id}: missing {stage} dependency result")
+    key = _dep_keys(spec).get(stage)
+    if key not in dep_results:
+        raise RuntimeError(f"{spec.job_id}: missing {stage} dependency result")
+    return dep_results[key]
 
 
 def adopt_program(program: Any) -> Any:
@@ -268,6 +319,46 @@ def adopt_program(program: Any) -> Any:
     return program
 
 
+def shared_objects(value: Any) -> Tuple[Any, ...]:
+    """The objects of a job result that dependent results may share.
+
+    The result itself and, for a ``Program``, each function, block and
+    operation in program order: a compilation keeps the program it
+    compiled, and its schedules keep that program's blocks and
+    operations.  Positions are the reference tokens of
+    :class:`repro.runner.cache.DependencyTable`, so the order must only
+    depend on the program's structure.
+    """
+    from repro.ir.program import Program
+
+    if not isinstance(value, Program):
+        return (value,)
+    objects: list = [value]
+    for function in value:
+        objects.append(function)
+        for block in function:
+            objects.append(block)
+            objects.extend(block.operations)
+    return tuple(objects)
+
+
+def dependency_refs(
+    dep_results: Dict[str, Any],
+    tables: Optional[Dict[str, DependencyTable]] = None,
+) -> DependencyRefs:
+    """The reference table of a job that ran on ``dep_results``.
+
+    ``tables`` memoizes each dependency's table by key, for a caller
+    whose decoded results outlive one job.
+    """
+    if tables is None:
+        tables = {}
+    for key, value in dep_results.items():
+        if key not in tables:
+            tables[key] = DependencyTable(key, shared_objects(value))
+    return DependencyRefs(tables[key] for key in dep_results)
+
+
 def _run_build(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
     from repro.ir.operation import reset_operation_ids
     from repro.workloads.suite import load_benchmark
@@ -286,10 +377,7 @@ def _run_build(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
 def _maybe_trace(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
     """The spec's trace dependency result, or ``None`` when the job was
     built without one (profile and simulate then capture their own)."""
-    for dep in default_deps(spec):
-        if dep.stage == "trace" and dep.key() in dep_results:
-            return dep_results[dep.key()]
-    return None
+    return dep_results.get(_dep_keys(spec).get("trace"))
 
 
 def _run_trace(spec: JobSpec, dep_results: Dict[str, Any]) -> Any:
@@ -579,7 +667,7 @@ def default_deps(spec: JobSpec) -> Tuple[JobSpec, ...]:
 
 def job_for(spec: JobSpec) -> Job:
     """Wrap ``spec`` as a :class:`Job` with its natural dependencies."""
-    return Job(spec, deps=default_deps(spec))
+    return Job(spec, deps=_natural_deps(spec))
 
 
 def build_job(benchmark: str, scale: float = 1.0, **kw: Any) -> Job:

@@ -10,7 +10,9 @@ quacks like :class:`repro.runner.Runner` (``run`` / ``run_job`` /
 ``repro-eval --service URL`` work unchanged and produce byte-identical
 outputs — the results it returns are the same pickled objects a local
 runner would have cached, fetched back through the broker's object
-store.  The broker's per-sweep event stream is mirrored into the local
+store and decoded through the same codec: dependency results first, in
+graph order, so a payload's references resolve to them.  The broker's
+per-sweep event stream is mirrored into the local
 :class:`~repro.runner.events.EventLog` (``--events`` keeps working), so
 cache-hit accounting is observable on the client exactly as it is
 locally.
@@ -33,10 +35,10 @@ import uuid
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.obs.logging import context_fields, get_logger, log_context
-from repro.runner.cache import CacheBackend
+from repro.runner.cache import DECODE_ERRORS, DependencyTable, decode_payload
 from repro.runner.events import EventLog
 from repro.runner.graph import JobGraph
-from repro.runner.jobs import Job
+from repro.runner.jobs import Job, dependency_refs
 from repro.runner.retry import RECONNECT_POLICY, RetryPolicy
 from repro.service.wire import pack_graph
 
@@ -246,6 +248,7 @@ class ServiceRunner:
         self.timeout = timeout
         self.log = get_logger("repro.client")
         self._results: Dict[str, Any] = {}
+        self._tables: Dict[str, DependencyTable] = {}
 
     # -- Runner protocol -------------------------------------------------------
 
@@ -284,15 +287,13 @@ class ServiceRunner:
                         f"sweep {sweep_id} finished with "
                         f"{len(failures)} failed job(s): {names}"
                     )
-                out: Dict[str, Any] = {}
-                for job in graph.jobs:
-                    out[job.key()] = self._fetch(job)
+                self._fetch_graph(graph)
                 self.log.info(
                     "sweep finished",
                     seconds=round(time.monotonic() - t0, 6),
                     states=status.get("states"),
                 )
-                return {job.key(): out[job.key()] for job in graph.jobs}
+                return {job.key(): self._results[job.key()] for job in graph.jobs}
             finally:
                 self.events.emit(
                     "run_finish",
@@ -307,14 +308,11 @@ class ServiceRunner:
             return self._results[key]
         # Fast path: the result may already sit in the shared cache from
         # an earlier sweep — no need to submit a one-job sweep for it.
-        payload = self.client.fetch_result_bytes(key)
-        if payload is not None:
-            try:
-                self._results[key] = CacheBackend.decode(payload)
-                return self._results[key]
-            except Exception:  # noqa: BLE001 - treat like a cache miss
-                pass
-        return self.run([job])[key]
+        try:
+            self._fetch_graph(JobGraph([job]))
+            return self._results[key]
+        except (ServiceError, *DECODE_ERRORS):
+            return self.run([job])[key]
 
     def result(self, job: Job) -> Any:
         return self._results[job.key()]
@@ -350,17 +348,26 @@ class ServiceRunner:
             record.pop("seq", None)
             self.events.replay(record)
 
-    def _fetch(self, job: Job) -> Any:
+    def _fetch_graph(self, graph: JobGraph) -> None:
+        for wave in graph.waves():
+            for job in wave:
+                self._fetch(job)
+
+    def _fetch(self, job: Job) -> None:
+        """Fetch and decode one result; its dependencies must be fetched."""
         key = job.key()
-        if key not in self._results:
-            payload = self.client.fetch_result_bytes(key)
-            if payload is None:
-                raise ServiceError(
-                    f"result for {job.job_id} ({key[:12]}…) missing from the "
-                    "broker cache — was it evicted mid-sweep?"
-                )
-            self._results[key] = CacheBackend.decode(payload)
-        return self._results[key]
+        if key in self._results:
+            return
+        payload = self.client.fetch_result_bytes(key)
+        if payload is None:
+            raise ServiceError(
+                f"result for {job.job_id} ({key[:12]}…) missing from the "
+                "broker cache — was it evicted mid-sweep?"
+            )
+        deps = {dep.key(): self._results[dep.key()] for dep in job.deps}
+        self._results[key] = decode_payload(
+            payload, dependency_refs(deps, self._tables)
+        )
 
 
 def worker_id() -> str:

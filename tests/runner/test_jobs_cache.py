@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 import json
+import pickle
 
 import pytest
 
@@ -18,11 +20,13 @@ from repro.runner import (
     build_spec,
     compile_spec,
     pipeline_jobs,
+    profile_job,
     profile_spec,
     simulate_job,
     simulate_spec,
 )
 from repro.runner import jobs as jobs_module
+from repro.service.wire import pack_job
 
 
 class TestJobKeys:
@@ -77,6 +81,63 @@ class TestJobKeys:
         spec = simulate_spec("swim", PLAYDOH_4W, model_icache=True)
         assert spec.job_id == "simulate:swim@playdoh-4w[model_icache]"
         assert profile_spec("li").job_id == "profile:li"
+
+
+class TestKeyMemo:
+    def test_second_key_call_does_not_re_encode(self, monkeypatch):
+        calls = []
+        content_key = JobSpec._content_key
+
+        def counting(self):
+            calls.append(self.stage)
+            return content_key(self)
+
+        monkeypatch.setattr(JobSpec, "_content_key", counting)
+        spec = simulate_spec("li", PLAYDOH_4W, scale=0.5)
+        first = spec.key()
+        assert spec.key() == first
+        assert Job(spec).key() == first
+        assert calls == ["simulate"]
+
+    def test_code_version_change_re_keys(self, monkeypatch):
+        spec = simulate_spec("li", PLAYDOH_4W, scale=0.5)
+        before = spec.key()
+        monkeypatch.setattr(jobs_module, "CODE_VERSION", "test-bump")
+        bumped = spec.key()
+        assert bumped != before
+        assert bumped == simulate_spec("li", PLAYDOH_4W, scale=0.5).key()
+        monkeypatch.undo()
+        assert spec.key() == before
+
+    def test_memo_stays_out_of_pickles_repr_eq_and_wire(self):
+        spec = simulate_spec("li", PLAYDOH_4W, scale=0.5)
+        fresh = Job(spec, deps=jobs_module.default_deps(spec))
+        keyed = simulate_job("li", PLAYDOH_4W, scale=0.5)
+        fresh_pickle = pickle.dumps(fresh, protocol=pickle.HIGHEST_PROTOCOL)
+        fresh_repr = repr(fresh)
+        keyed.key()
+        for dep in keyed.deps:
+            dep.key()
+        jobs_module._dep_keys(keyed.spec)
+        assert "_memos" in vars(keyed.spec)
+        assert "_memos" not in vars(fresh.spec)
+        assert (
+            pickle.dumps(keyed, protocol=pickle.HIGHEST_PROTOCOL) == fresh_pickle
+        )
+        assert repr(keyed) == fresh_repr
+        assert keyed == fresh
+        # Machine-free specs hash, and travel on the wire as they are.
+        unkeyed_spec = profile_spec("li", scale=0.5)
+        unkeyed = Job(unkeyed_spec, deps=jobs_module.default_deps(unkeyed_spec))
+        expected_blob = base64.b64encode(
+            pickle.dumps(unkeyed, protocol=pickle.HIGHEST_PROTOCOL)
+        ).decode("ascii")
+        expected_hash = hash(unkeyed)
+        wired = profile_job("li", scale=0.5)
+        wired.key()
+        assert hash(wired) == expected_hash
+        assert pack_job(wired)["blob"] == expected_blob
+        assert pack_job(keyed) == pack_job(fresh)
 
 
 class TestJobGraph:
@@ -152,7 +213,7 @@ class TestDiskCache:
         cache = DiskCache(root=tmp_path, enabled=False)
         cache.put("12" * 32, "value")
         assert cache.get("12" * 32) == (False, None)
-        assert not (tmp_path / "v1").exists()
+        assert not cache.store.exists()
 
     def test_stats_and_clear(self, tmp_path):
         cache = DiskCache(root=tmp_path)
