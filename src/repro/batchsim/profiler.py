@@ -56,7 +56,7 @@ def batch_profile(
     :func:`repro.profiling.profile_run.profile_program`).
     """
 
-    from repro.profiling.profile_run import ProfileData
+    from repro.profiling.profile_run import ProfileData, RunSummary
 
     if trace.dynamic_operations > max_operations:
         raise ExecutionLimitExceeded(
@@ -90,5 +90,11 @@ def batch_profile(
         program_name=program.name,
         blocks=BlockProfile(block_counts),
         values=ValueProfile(value_stats),
-        execution=trace.to_execution_result(),
+        execution=RunSummary(
+            halted=trace.halted,
+            dynamic_operations=trace.dynamic_operations,
+            dynamic_blocks=trace.dynamic_blocks,
+            loads_executed=trace.loads_executed,
+            stores_executed=trace.stores_executed,
+        ),
     )

@@ -306,8 +306,8 @@ def _prepare_hotloop(ctx: BenchContext) -> Dict[str, Any]:
 
 
 def _run_interp_hotloop(ctx: BenchContext, state: Dict[str, Any]) -> ScenarioRun:
-    """Observer-less architectural interpretation — the block-specialized
-    fast path with the no-notification branch."""
+    """Observer-less architectural interpretation: generated code, one
+    function per block."""
     from repro.profiling.interpreter import Interpreter
 
     ops = 0
@@ -548,7 +548,7 @@ register_scenario(
         name="interp_hotloop",
         description=f"Observer-less architectural interpretation of "
         f"{HOTLOOP_BENCHMARKS} (programs built untimed): the "
-        "block-specialized dispatch fast path alone",
+        "generated per-block code alone",
         subsystems=("profiling",),
         run=_run_interp_hotloop,
         prepare=_prepare_hotloop,

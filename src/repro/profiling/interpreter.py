@@ -10,29 +10,35 @@ simulation then read the captured trace.
 
 Two execution paths produce byte-identical results:
 
-* The **specialized fast path** (what :meth:`Interpreter.run` executes)
-  precompiles each basic block, once per static block per run, into a
-  dispatch list of per-op closures: the opcode handler, operand readers
-  and destination slot are resolved at compile time instead of being
-  re-dispatched for every dynamic instance.  Observer-less runs
-  additionally skip building the per-op ``inputs`` tuples entirely, and
-  a capture run decides per static block which ops are traced, so each
-  dynamic traced op costs one list append.
-* The **legacy loop** — the original per-dynamic-op dispatch,
-  :meth:`Interpreter._run_legacy` — is the executable specification the
-  fast path is checked against (``tests/profiling/test_fast_path.py``).
+* **Generated code** runs every observer-less run — plain
+  :meth:`Interpreter.run` and fused capture.  Each static block is
+  compiled on first entry into one Python function whose source is
+  built from the block's ops (:func:`_compile_block`): arithmetic is
+  inlined with the operators of :mod:`repro.ir.opcodes`, loads and
+  stores index the memory's word dict, and registers live in locals.
+  A block whose final ``brcond`` targets itself loops inside its
+  function.  Register names, labels, immediates and offsets are bound
+  as constants of the function, never spliced into its source.
+* The **reference loop**, :meth:`Interpreter._run_legacy`, dispatches
+  per dynamic op and notifies observers.  It runs every run with
+  observers or ``strict_registers``, and it is the executable
+  specification generated code is checked against
+  (``tests/profiling/test_fast_path.py``): the same results, register
+  and memory order, traces, and errors at the same operation.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Protocol, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Protocol, Union
 
 from repro.ir.block import BasicBlock
 from repro.ir.opcodes import Opcode, evaluator, is_alu
 from repro.ir.operation import Imm, Operation, Reg
 from repro.ir.program import Program
 from repro.profiling.memory import Memory, Number
+
 
 class ExecutionObserver(Protocol):
     """Hook interface for profilers and simulators."""
@@ -72,200 +78,11 @@ class ExecutionResult:
 
 def _dispatch_miss_message(opcode: Opcode) -> str:
     """The error for opcodes without an interpretation — one string, so
-    the specialized and legacy paths can never drift apart."""
+    generated code and the reference loop can never drift apart."""
     return (
         f"interpreter cannot execute {opcode.value}; the "
         "prediction forms exist only in scheduled code"
     )
-
-
-# -- block specialization ----------------------------------------------------
-
-
-def _make_reader(src: Union[Reg, Imm], strict: bool):
-    """Operand reader resolved once per static operand."""
-    if isinstance(src, Imm):
-        value = src.value
-        return lambda regs: value
-    name = src.name
-    if strict:
-        def read_strict(regs, _name=name):
-            if _name not in regs:
-                raise KeyError(f"read of uninitialised register {_name}")
-            return regs[_name]
-        return read_strict
-    return lambda regs, _name=name: regs.get(_name, 0)
-
-
-def _compile_body_op(op: Operation, strict: bool):
-    """Compile one straight-line op into ``(step, obs_step)`` closures.
-
-    ``step(regs, mem)`` performs the op's architectural effect with no
-    allocation and returns the op's result (``None`` for a store), which
-    is how a fused trace capture reads traced values; ``obs_step(regs,
-    mem)`` does the same but returns ``(inputs, result)`` exactly as the
-    legacy loop computed them, for observer notification.
-    """
-    opcode = op.opcode
-    srcs = op.srcs
-
-    if is_alu(opcode):
-        fn = evaluator(opcode)
-        dest = op.dest.name
-        if not strict and len(srcs) == 2:
-            a, b = srcs
-            if isinstance(a, Reg) and isinstance(b, Reg):
-                an, bn = a.name, b.name
-
-                def step(regs, mem, fn=fn, an=an, bn=bn, dest=dest):
-                    regs[dest] = result = fn(regs.get(an, 0), regs.get(bn, 0))
-                    return result
-
-                def obs_step(regs, mem, fn=fn, an=an, bn=bn, dest=dest):
-                    inputs = (regs.get(an, 0), regs.get(bn, 0))
-                    result = fn(inputs[0], inputs[1])
-                    regs[dest] = result
-                    return inputs, result
-
-                return step, obs_step
-            if isinstance(a, Reg) and isinstance(b, Imm):
-                an, bv = a.name, b.value
-
-                def step(regs, mem, fn=fn, an=an, bv=bv, dest=dest):
-                    regs[dest] = result = fn(regs.get(an, 0), bv)
-                    return result
-
-                def obs_step(regs, mem, fn=fn, an=an, bv=bv, dest=dest):
-                    inputs = (regs.get(an, 0), bv)
-                    result = fn(inputs[0], bv)
-                    regs[dest] = result
-                    return inputs, result
-
-                return step, obs_step
-            if isinstance(a, Imm) and isinstance(b, Reg):
-                av, bn = a.value, b.name
-
-                def step(regs, mem, fn=fn, av=av, bn=bn, dest=dest):
-                    regs[dest] = result = fn(av, regs.get(bn, 0))
-                    return result
-
-                def obs_step(regs, mem, fn=fn, av=av, bn=bn, dest=dest):
-                    inputs = (av, regs.get(bn, 0))
-                    result = fn(av, inputs[1])
-                    regs[dest] = result
-                    return inputs, result
-
-                return step, obs_step
-        if not strict and len(srcs) == 1 and isinstance(srcs[0], Reg):
-            an = srcs[0].name
-
-            def step(regs, mem, fn=fn, an=an, dest=dest):
-                regs[dest] = result = fn(regs.get(an, 0))
-                return result
-
-            def obs_step(regs, mem, fn=fn, an=an, dest=dest):
-                inputs = (regs.get(an, 0),)
-                result = fn(inputs[0])
-                regs[dest] = result
-                return inputs, result
-
-            return step, obs_step
-        readers = tuple(_make_reader(s, strict) for s in srcs)
-
-        def step(regs, mem, fn=fn, readers=readers, dest=dest):
-            regs[dest] = result = fn(*[read(regs) for read in readers])
-            return result
-
-        def obs_step(regs, mem, fn=fn, readers=readers, dest=dest):
-            inputs = tuple(read(regs) for read in readers)
-            result = fn(*inputs)
-            regs[dest] = result
-            return inputs, result
-
-        return step, obs_step
-
-    if opcode is Opcode.LOAD:
-        dest = op.dest.name
-        offset = op.offset
-        base = srcs[0]
-        if not strict and isinstance(base, Reg):
-            bn = base.name
-
-            def step(regs, mem, bn=bn, offset=offset, dest=dest):
-                regs[dest] = result = mem.load(regs.get(bn, 0) + offset)
-                return result
-
-            def obs_step(regs, mem, bn=bn, offset=offset, dest=dest):
-                address = regs.get(bn, 0)
-                result = mem.load(address + offset)
-                regs[dest] = result
-                return (address,), result
-
-            return step, obs_step
-        read_base = _make_reader(base, strict)
-
-        def step(regs, mem, read_base=read_base, offset=offset, dest=dest):
-            regs[dest] = result = mem.load(read_base(regs) + offset)
-            return result
-
-        def obs_step(regs, mem, read_base=read_base, offset=offset, dest=dest):
-            address = read_base(regs)
-            result = mem.load(address + offset)
-            regs[dest] = result
-            return (address,), result
-
-        return step, obs_step
-
-    if opcode is Opcode.STORE:
-        offset = op.offset
-        value_src, base_src = srcs
-        if (
-            not strict
-            and isinstance(value_src, Reg)
-            and isinstance(base_src, Reg)
-        ):
-            vn, bn = value_src.name, base_src.name
-
-            def step(regs, mem, vn=vn, bn=bn, offset=offset):
-                mem.store(regs.get(bn, 0) + offset, regs.get(vn, 0))
-
-            def obs_step(regs, mem, vn=vn, bn=bn, offset=offset):
-                inputs = (regs.get(vn, 0), regs.get(bn, 0))
-                mem.store(inputs[1] + offset, inputs[0])
-                return inputs, None
-
-            return step, obs_step
-        read_value = _make_reader(value_src, strict)
-        read_base = _make_reader(base_src, strict)
-
-        def step(regs, mem, rv=read_value, rb=read_base, offset=offset):
-            mem.store(rb(regs) + offset, rv(regs))
-
-        def obs_step(regs, mem, rv=read_value, rb=read_base, offset=offset):
-            inputs = (rv(regs), rb(regs))
-            mem.store(inputs[1] + offset, inputs[0])
-            return inputs, None
-
-        return step, obs_step
-
-    # Prediction forms (and any future opcode without an architectural
-    # interpretation): the legacy loop reads the operands, then raises.
-    # Compiling a raiser keeps the dispatch miss at the same dynamic
-    # point with the same message.
-    readers = tuple(_make_reader(s, strict) for s in srcs)
-    message = _dispatch_miss_message(opcode)
-
-    def step(regs, mem, readers=readers, message=message):
-        for read in readers:
-            read(regs)
-        raise ValueError(message)
-
-    def obs_step(regs, mem, readers=readers, message=message):
-        for read in readers:
-            read(regs)
-        raise ValueError(message)
-
-    return step, obs_step
 
 
 class ValueSink:
@@ -287,85 +104,196 @@ class ValueSink:
         self.values: List[Number] = []
 
 
-class _CompiledBlock:
-    """One basic block lowered to a dispatch list of per-op closures.
+# -- generated code -----------------------------------------------------------
 
-    With a ``sink``, the block also gets its id in the sink's label
-    table and its body split at the traced ops: each entry of
-    ``segments`` is ``(untraced steps, traced step)``, and ``tail`` holds
-    the untraced steps after the last traced op.
+#: Each ALU opcode as a Python expression over its operands: the
+#: operators and helpers of :mod:`repro.ir.opcodes`, inlined.
+_EXPR: Dict[Opcode, str] = {
+    Opcode.ADD: "{} + {}",
+    Opcode.SUB: "{} - {}",
+    Opcode.MUL: "{} * {}",
+    Opcode.DIV: "_int_div({}, {})",
+    Opcode.MOD: "_int_mod({}, {})",
+    Opcode.AND: "int({}) & int({})",
+    Opcode.OR: "int({}) | int({})",
+    Opcode.XOR: "int({}) ^ int({})",
+    Opcode.SHL: "int({}) << (int({}) & 63)",
+    Opcode.SHR: "int({}) >> (int({}) & 63)",
+    Opcode.NEG: "-{}",
+    Opcode.NOT: "~int({})",
+    Opcode.MIN: "min({}, {})",
+    Opcode.MAX: "max({}, {})",
+    Opcode.ABS: "abs({})",
+    Opcode.MOV: "{}",
+    Opcode.CMPEQ: "int({} == {})",
+    Opcode.CMPNE: "int({} != {})",
+    Opcode.CMPLT: "int({} < {})",
+    Opcode.CMPLE: "int({} <= {})",
+    Opcode.CMPGT: "int({} > {})",
+    Opcode.CMPGE: "int({} >= {})",
+    Opcode.FADD: "{} + {}",
+    Opcode.FSUB: "{} - {}",
+    Opcode.FMUL: "{} * {}",
+    Opcode.FDIV: "_float_div({}, {})",
+    Opcode.FNEG: "-{}",
+    Opcode.FABS: "abs({})",
+    Opcode.FSQRT: "abs({}) ** 0.5",
+}
+
+#: The globals of every generated function: the helpers that stay calls.
+_HELPERS = {
+    "_int_div": evaluator(Opcode.DIV),
+    "_int_mod": evaluator(Opcode.MOD),
+    "_float_div": evaluator(Opcode.FDIV),
+}
+
+#: The next label a generated function returns after a ``halt``.
+_HALTED = object()
+
+
+@functools.lru_cache(maxsize=256)
+def _code(source: str):
+    """Generated source depends only on a block's shape, so structurally
+    equal blocks share one code object across runs."""
+    return compile(source, "<generated block>", "exec")
+
+
+def _compile_block(
+    ops: List[Operation],
+    registers: Dict[str, Number],
+    words: Dict[int, Number],
+    sink: Optional[ValueSink] = None,
+    label: Optional[str] = None,
+):
+    """Generate the function that runs ``ops`` as one block instance.
+
+    Returns ``(run, n_ops, n_loads, n_stores, block_id)``.  ``run(room)``
+    executes on ``registers`` and the memory ``words`` and returns
+    ``(next_label, instances)``; ``next_label`` is :data:`_HALTED` after
+    a halt and ``None`` when no branch ran.  A block whose final
+    ``brcond`` targets ``label`` loops inside ``run``, for as many more
+    instances as ``room`` operations allow.  ``n_ops`` counts the ops up
+    to the first halt — what one instance charges to the budget.
+
+    Register names, labels, immediates and offsets are never spliced
+    into the source: each is bound as a constant ``k<i>`` of the
+    generated function, beside ``R`` (the registers), ``W`` (the words)
+    and, with a ``sink``, ``V`` (append a traced value) and ``S``
+    (extend the block ids).  Registers live in locals ``r<i>``: those
+    read before written are loaded on entry, and those written are
+    stored back on exit in static first-write order, which is the order
+    the reference loop inserts new keys in.
     """
+    consts: List[object] = []
+    local: Dict[str, str] = {}
+    loaded: List[str] = []
+    written: Dict[str, None] = {}  # an ordered set
 
-    __slots__ = (
-        "block",
-        "label",
-        "n_ops",
-        "steps",
-        "obs_steps",
-        "block_id",
-        "segments",
-        "tail",
-        "term_kind",
-        "term_op",
-        "term_cond",
-        "term_targets",
+    def const(value) -> str:
+        consts.append(value)
+        return f"k{len(consts) - 1}"
+
+    def read(src: Union[Reg, Imm]) -> str:
+        if isinstance(src, Imm):
+            return const(src.value)
+        if src.name not in local:
+            local[src.name] = f"r{len(local)}"
+            loaded.append(src.name)
+        return local[src.name]
+
+    term = ops[-1] if ops else None
+    loops = (
+        label is not None
+        and term is not None
+        and term.opcode is Opcode.BRCOND
+        and label in term.targets
+        and not any(op.is_branch for op in ops[:-1])
     )
+    traced = sink.traced_opcodes if sink is not None else frozenset()
+    body: List[str] = []
+    exit_expr = None
+    n_ops = n_loads = n_stores = 0
+    for op in ops:
+        n_ops += 1
+        opcode = op.opcode
+        if opcode in _EXPR:
+            expr = _EXPR[opcode].format(*[read(s) for s in op.srcs])
+        elif opcode is Opcode.LOAD:
+            expr = f"W.get(int({read(op.srcs[0])} + {const(op.offset)}), 0)"
+            n_loads += 1
+        elif opcode is Opcode.STORE:
+            value, base = read(op.srcs[0]), read(op.srcs[1])
+            body.append(f"W[int({base} + {const(op.offset)})] = {value}")
+            n_stores += 1
+            continue
+        elif opcode is Opcode.BR:
+            exit_expr = const((op.targets[0], 1))
+            continue
+        elif opcode is Opcode.BRCOND:
+            cond = read(op.srcs[0])
+            if not loops:
+                then, orelse = (const((target, 1)) for target in op.targets)
+                exit_expr = f"{then} if {cond} != 0 else {orelse}"
+                if op is not term:
+                    body.append(f"nx = {exit_expr}")
+                    exit_expr = "nx"
+            continue
+        elif opcode is Opcode.HALT:
+            exit_expr = const((_HALTED, 1))
+            break
+        else:
+            message = const(_dispatch_miss_message(opcode))
+            body.append(f"raise ValueError({message})")
+            loops = False
+            break
+        name = op.dest.name
+        dest = local.setdefault(name, f"r{len(local)}")
+        written[name] = None
+        body.append(f"{dest} = {expr}")
+        if opcode in traced:
+            body.append(f"V({dest})")
+    prologue = [f"{local[name]} = R.get({const(name)}, 0)" for name in loaded]
+    epilogue = [f"R[{const(name)}] = {local[name]}" for name in written]
 
-    def __init__(
-        self, block: BasicBlock, strict: bool, sink: Optional[ValueSink] = None
-    ):
-        ops = block.operations
-        term_op = ops[-1] if ops and ops[-1].is_branch else None
-        body = ops[:-1] if term_op is not None else list(ops)
-        self.block = block
-        self.label = block.label
-        self.n_ops = len(ops)
-        self.steps = []
-        self.obs_steps = []
-        for op in body:
-            step, obs_step = _compile_body_op(op, strict)
-            self.steps.append(step)
-            self.obs_steps.append((op, obs_step))
-        self.block_id = -1
-        self.segments: Tuple[Tuple[tuple, object], ...] = ()
-        self.tail: tuple = ()
+    block_id = -1
+    if sink is not None:
+        block_id = len(sink.labels)
+        sink.labels.append(label)
+    if loops:
+        # The block branches to itself: iterate here, with registers in
+        # locals, while the budget has room for another instance.  The
+        # ids of the instances after the first go to the sink on exit.
+        lines = prologue + [f"cap = room // {n_ops}", "n = 1", "while True:"]
+        lines += [f"    {line}" for line in body]
+        then, orelse = term.targets
+        exits = [("n > cap", label)]
+        if then != label:
+            exits.insert(0, (f"{cond} != 0", then))
+        elif orelse != label:
+            exits.insert(0, (f"not ({cond} != 0)", orelse))
+        for test, target in exits:
+            lines += [f"    if {test}:", f"        nx = {const(target)}"]
+            lines.append("        break")
+        lines.append("    n += 1")
         if sink is not None:
-            self.block_id = len(sink.labels)
-            sink.labels.append(block.label)
-            segments, run = [], []
-            for op, step in zip(body, self.steps):
-                if op.opcode in sink.traced_opcodes:
-                    segments.append((tuple(run), step))
-                    run = []
-                else:
-                    run.append(step)
-            self.segments = tuple(segments)
-            self.tail = tuple(run)
-        self.term_op = term_op
-        self.term_cond = None
-        self.term_targets: Tuple[str, ...] = ()
-        if term_op is None:
-            self.term_kind = None
-        elif term_op.opcode is Opcode.BR:
-            self.term_kind = "br"
-            self.term_targets = term_op.targets
-        elif term_op.opcode is Opcode.BRCOND:
-            self.term_kind = "brcond"
-            self.term_cond = _make_reader(term_op.srcs[0], strict)
-            self.term_targets = term_op.targets
-        else:  # HALT is the only other branch opcode.
-            self.term_kind = "halt"
+            epilogue.append(f"S({const((block_id,))} * (n - 1))")
+        lines += epilogue + ["return nx, n"]
+    else:
+        if exit_expr is None:
+            exit_expr = const((None, 1))
+        lines = prologue + body + epilogue + [f"return {exit_expr}"]
 
-    def exec_terminator(self, regs):
-        """Run the terminator; returns ``(next_label, halted, inputs)``."""
-        kind = self.term_kind
-        if kind == "br":
-            return self.term_targets[0], False, ()
-        if kind == "brcond":
-            cond = self.term_cond(regs)
-            target = self.term_targets[0] if cond != 0 else self.term_targets[1]
-            return target, False, (cond,)
-        return None, True, ()
+    params = "".join(f", k{i}" for i in range(len(consts)))
+    source = f"def make(R, W, V, S{params}):\n    def run(room):\n"
+    source += "".join(f"        {line}\n" for line in lines)
+    source += "    return run\n"
+    namespace = dict(_HELPERS)
+    exec(_code(source), namespace)
+    record = (None, None)
+    if sink is not None:
+        record = (sink.values.append, sink.block_seq.extend)
+    run = namespace["make"](registers, words, *record, *consts)
+    return run, n_ops, n_loads, n_stores, block_id
 
 
 class Interpreter:
@@ -384,110 +312,56 @@ class Interpreter:
         program: Program,
         observers: Optional[List[ExecutionObserver]] = None,
     ) -> ExecutionResult:
-        return self._run_fast(program, observers or [])
+        if observers or self.strict_registers:
+            return self._run_legacy(program, observers or [])
+        return self._run_generated(program)
 
-    # -- specialized fast path ----------------------------------------------
-
-    def _run_fast(
-        self,
-        program: Program,
-        observers: List[ExecutionObserver],
-        sink: Optional[ValueSink] = None,
+    def _run_generated(
+        self, program: Program, sink: Optional[ValueSink] = None
     ) -> ExecutionResult:
-        """Run on per-block dispatch lists.
+        """Run on one generated function per static block.
 
-        ``sink`` fuses trace capture into an observer-less run: each
-        block entry appends its id, and each traced op appends its
-        result, with no per-op observer call and no per-op opcode test.
+        ``sink`` fuses trace capture into the run: each block instance
+        appends its id and its traced results.
         """
         function = program.main
         memory = Memory(program.initial_memory)
         registers: Dict[str, Number] = dict(program.initial_registers)
-        strict = self.strict_registers
         max_operations = self.max_operations
-        compiled: Dict[str, _CompiledBlock] = {}
-        if sink is not None:
-            record_block = sink.block_seq.append
-            record_value = sink.values.append
+        compiled: Dict[str, tuple] = {}
+        record_block = sink.block_seq.append if sink is not None else None
 
-        executed = 0
-        blocks = 0
+        executed = blocks = reads = writes = 0
         label: Optional[str] = function.entry_label
         halted = False
 
         while label is not None:
-            cb = compiled.get(label)
-            if cb is None:
-                cb = compiled[label] = _CompiledBlock(
-                    function.block(label), strict, sink
+            entry = compiled.get(label)
+            if entry is None:
+                block = function.block(label)
+                entry = compiled[label] = _compile_block(
+                    block.operations, registers, memory._words, sink, block.label
                 )
-            blocks += 1
-            if observers:
-                block = cb.block
-                for observer in observers:
-                    observer.block_entered(block)
-            elif sink is not None:
-                record_block(cb.block_id)
-
-            next_label: Optional[str] = None
-            if executed + cb.n_ops > max_operations:
-                # The budget runs out inside this block: step op by op
-                # so the limit error raises at exactly the same
-                # operation — after the same observer notifications — as
-                # the legacy loop.  The run ends here, so a sink needs
-                # no values from this block.
-                for op, obs_step in cb.obs_steps:
-                    executed += 1
-                    if executed > max_operations:
-                        raise ExecutionLimitExceeded(
-                            f"{program.name}: exceeded "
-                            f"{max_operations} operations"
-                        )
-                    inputs, result = obs_step(registers, memory)
-                    for observer in observers:
-                        observer.operation_executed(op, inputs, result)
-                if cb.term_kind is not None:
-                    executed += 1
-                    if executed > max_operations:
-                        raise ExecutionLimitExceeded(
-                            f"{program.name}: exceeded "
-                            f"{max_operations} operations"
-                        )
-                    next_label, halted, term_inputs = cb.exec_terminator(
-                        registers
-                    )
-                    for observer in observers:
-                        observer.operation_executed(
-                            cb.term_op, term_inputs, None
-                        )
-            else:
-                executed += cb.n_ops
-                if observers:
-                    for op, obs_step in cb.obs_steps:
-                        inputs, result = obs_step(registers, memory)
-                        for observer in observers:
-                            observer.operation_executed(op, inputs, result)
-                elif sink is not None:
-                    for untraced, traced in cb.segments:
-                        for step in untraced:
-                            step(registers, memory)
-                        record_value(traced(registers, memory))
-                    for step in cb.tail:
-                        step(registers, memory)
-                else:
-                    for step in cb.steps:
-                        step(registers, memory)
-                if cb.term_kind is not None:
-                    next_label, halted, term_inputs = cb.exec_terminator(
-                        registers
-                    )
-                    if observers:
-                        for observer in observers:
-                            observer.operation_executed(
-                                cb.term_op, term_inputs, None
-                            )
-
-            if halted:
+            run, n_ops, n_loads, n_stores, block_id = entry
+            if executed + n_ops > max_operations:
+                # The budget runs out inside this instance: run the ops
+                # before that point, any of which may raise first, then
+                # raise where the reference loop does.
+                ops = function.block(label).operations
+                prefix = ops[: max(0, max_operations - executed)]
+                _compile_block(prefix, registers, memory._words)[0](0)
+                raise ExecutionLimitExceeded(
+                    f"{program.name}: exceeded {max_operations} operations"
+                )
+            if record_block is not None:
+                record_block(block_id)
+            next_label, count = run(max_operations - executed - n_ops)
+            executed += n_ops * count
+            blocks += count
+            reads += n_loads * count
+            writes += n_stores * count
+            if next_label is _HALTED:
+                halted = True
                 break
             if next_label is None:
                 raise RuntimeError(
@@ -495,6 +369,8 @@ class Interpreter:
                 )
             label = next_label
 
+        memory.reads = reads
+        memory.writes = writes
         return ExecutionResult(
             program_name=program.name,
             dynamic_operations=executed,

@@ -13,8 +13,19 @@ from dataclasses import dataclass
 
 from repro.ir.program import Program
 from repro.profiling.block_profile import BlockProfile
-from repro.profiling.interpreter import ExecutionResult
 from repro.profiling.value_profile import ValueProfile
+
+
+@dataclass(frozen=True)
+class RunSummary:
+    """The counts of the profiled run.  The final registers and memory
+    stay in the trace; a profile does not carry a second copy."""
+
+    halted: bool
+    dynamic_operations: int
+    dynamic_blocks: int
+    loads_executed: int
+    stores_executed: int
 
 
 @dataclass(frozen=True)
@@ -24,7 +35,7 @@ class ProfileData:
     program_name: str
     blocks: BlockProfile
     values: ValueProfile
-    execution: ExecutionResult
+    execution: RunSummary
 
 
 def profile_program(

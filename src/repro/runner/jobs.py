@@ -71,7 +71,9 @@ from repro.runner.cache import DependencyRefs, DependencyTable, encode_payload
 #: struct-of-arrays engine (byte-identical results, but the batch
 #: context changes which memo state a worker accumulates) and the
 #: ``batch_simulate`` stage joined the registry.
-CODE_VERSION = "2026.08.7"
+#: 2026.08.8: a profile keeps its run's counts, not a copy of the final
+#: memory, and program digests hash the initial images in binary.
+CODE_VERSION = "2026.08.8"
 
 #: The built-in pipeline stages, in dependency order.
 PIPELINE_STAGES = (

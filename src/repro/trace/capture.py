@@ -17,15 +17,15 @@ def capture_trace(
 ) -> ValueTrace:
     """Interpret ``program`` once and package the run as a trace.
 
-    Capture is fused into the interpreter's fast path: a
+    Capture is fused into the interpreter's generated code: a
     :class:`~repro.profiling.interpreter.ValueSink` receives the block
     ids and traced results directly.  Raises
     :class:`~repro.profiling.interpreter.ExecutionLimitExceeded` past
     ``max_operations``.
     """
     sink = ValueSink(TRACED_OPCODES)
-    result = Interpreter(max_operations=max_operations)._run_fast(
-        program, [], sink
+    result = Interpreter(max_operations=max_operations)._run_generated(
+        program, sink
     )
     function = program.main
     signatures = tuple(
@@ -43,6 +43,8 @@ def capture_trace(
         loads_executed=result.loads_executed,
         stores_executed=result.stores_executed,
         halted=result.halted,
-        final_registers=dict(result.registers),
-        final_memory=result.memory.snapshot(),
+        # The run's registers and words belong to this call alone, so
+        # the trace takes them over instead of copying them.
+        final_registers=result.registers,
+        final_memory=result.memory._words,
     )

@@ -4,9 +4,8 @@ A :class:`ValueTrace` records everything the downstream consumers of an
 architectural run actually use — the dynamic block sequence and the
 result values of *traced* operations (loads and long-latency ALU ops,
 the only opcodes value profiling and simulation read) — plus the run's
-final architectural state, so a consumer can reconstruct a
-byte-identical :class:`~repro.profiling.interpreter.ExecutionResult`
-without re-interpreting the program.
+counts and final architectural state, so no consumer needs to
+re-interpret the program.
 
 Format invariants (see ``docs/INTERNALS.md`` for the full spec):
 
@@ -33,6 +32,7 @@ from __future__ import annotations
 import gzip
 import hashlib
 import json
+import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple, Union
@@ -40,8 +40,7 @@ from typing import Dict, FrozenSet, List, Tuple, Union
 from repro.ir.opcodes import Opcode
 from repro.ir.operation import Imm, Reg
 from repro.ir.program import Program
-from repro.profiling.interpreter import ExecutionResult
-from repro.profiling.memory import Memory, Number
+from repro.profiling.memory import Number
 from repro.profiling.value_profile import LONG_LATENCY_OPCODES
 
 #: Bump when the trace layout changes incompatibly.
@@ -68,6 +67,22 @@ def _operand_key(operand: Union[Reg, Imm]):
     return ["reg", operand.name]
 
 
+def _image_bytes(image) -> bytes:
+    """A fixed, type-tagged binary encoding of a register or memory image.
+
+    Pickle protocol 4 of the image dict, items in insertion order.  Each
+    int, float and bool gets its own opcode and a float is its IEEE
+    bits, so ``1``, ``1.0`` and ``True`` differ, as do ``0.0`` and
+    ``-0.0``, and a NaN word differs from a missing one because its key
+    is listed.  The pickler memoizes neither ints nor floats, so the
+    bytes depend on the items alone.  Insertion order counts because a
+    run's final memory keeps it.  (JSON of the sorted items made the
+    same value distinctions, but float ``repr`` made it several times
+    slower.)
+    """
+    return pickle.dumps(image, protocol=4)
+
+
 #: id(program) -> (program, digest).  Identity memo: the entry pins the
 #: program, so the id cannot be recycled while it lives.  Programs are
 #: immutable once built (the pass managers always rebuild), so the
@@ -87,7 +102,8 @@ def program_digest(program: Program) -> str:
     and block structure, opcodes, operands, offsets, branch targets, and
     the initial register/memory image — but deliberately *not* operation
     ids, so two builds of the same workload (whose ids depend on global
-    counter state) share one trace.
+    counter state) share one trace.  The structure is hashed as JSON,
+    the two images through :func:`_image_bytes`.
     """
     entry = _DIGESTS.get(id(program))
     if entry is not None and entry[0] is program:
@@ -118,11 +134,12 @@ def program_digest(program: Program) -> str:
             }
             for function in program
         ],
-        "registers": sorted(program.initial_registers.items()),
-        "memory": sorted(program.initial_memory.items()),
     }
     payload = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    hasher = hashlib.sha256(payload.encode("utf-8"))
+    hasher.update(_image_bytes(program.initial_registers))
+    hasher.update(_image_bytes(program.initial_memory))
+    digest = hasher.hexdigest()
     _DIGESTS[id(program)] = (program, digest)
     return digest
 
@@ -154,25 +171,6 @@ class ValueTrace:
     final_registers: Dict[str, Number] = field(default_factory=dict)
     final_memory: Dict[int, Number] = field(default_factory=dict)
     schema_version: int = TRACE_SCHEMA_VERSION
-
-    def to_execution_result(self) -> ExecutionResult:
-        """Reconstruct the captured run's :class:`ExecutionResult`.
-
-        The memory's access counters are restored from the capture so a
-        replayed run reports the captured ``loads_executed`` /
-        ``stores_executed`` instead of zero.
-        """
-        memory = Memory.with_counts(
-            self.final_memory, reads=self.loads_executed, writes=self.stores_executed
-        )
-        return ExecutionResult(
-            program_name=self.program_name,
-            dynamic_operations=self.dynamic_operations,
-            dynamic_blocks=self.dynamic_blocks,
-            registers=dict(self.final_registers),
-            memory=memory,
-            halted=self.halted,
-        )
 
     @property
     def n_values(self) -> int:

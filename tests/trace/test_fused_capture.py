@@ -1,7 +1,7 @@
 """Fused capture vs a capture driven through the observer protocol.
 
 ``capture_trace`` records the block sequence and traced values inside
-the interpreter's fast path.  It must produce, byte for byte, the trace
+the interpreter's generated code.  It must produce, byte for byte, the trace
 an :class:`~repro.profiling.interpreter.ExecutionObserver` riding an
 ordinary run records: the same fields, the same value types and the
 same pickle — and it must stop at the same operation, with the same
